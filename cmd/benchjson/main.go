@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -32,7 +33,11 @@ type Result struct {
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 	// CPU is the `cpu:` header of the run, attributed like Package, so
 	// archived numbers carry the hardware they were measured on.
-	CPU        string  `json:"cpu,omitempty"`
+	CPU string `json:"cpu,omitempty"`
+	// NProc is runtime.NumCPU() where benchjson ran — the logical CPUs
+	// of the host, read next to the benchmarks it is piped from — so a
+	// GOMAXPROCS-4 row from a 2-CPU host reads as oversubscribed.
+	NProc      int     `json:"nproc,omitempty"`
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
 	// No omitempty on the allocation columns: an explicit 0 is the
@@ -52,7 +57,7 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
-	results, err := parse(os.Stdin)
+	results, err := parse(os.Stdin, runtime.NumCPU())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
@@ -81,8 +86,9 @@ func main() {
 //	BenchmarkEventLoop-8  19221097  128.3 ns/op  0 B/op  0 allocs/op
 //
 // with the B/op and allocs/op columns present only under -benchmem or
-// b.ReportAllocs.
-func parse(r io.Reader) ([]Result, error) {
+// b.ReportAllocs. nproc is recorded on every result as the host's CPU
+// count.
+func parse(r io.Reader, nproc int) ([]Result, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1024*1024), 1024*1024)
 	var results []Result
@@ -125,6 +131,7 @@ func parse(r io.Reader) ([]Result, error) {
 			Package:    pkg,
 			GOMAXPROCS: gomaxprocs,
 			CPU:        cpu,
+			NProc:      nproc,
 			Iterations: iters,
 			NsPerOp:    ns,
 		}

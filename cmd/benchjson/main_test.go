@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -24,7 +25,7 @@ ok  	econcast/internal/sim	19.5s
 `
 
 func TestParse(t *testing.T) {
-	results, err := parse(strings.NewReader(sample))
+	results, err := parse(strings.NewReader(sample), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,6 +44,14 @@ func TestParse(t *testing.T) {
 	}
 	if ev.GOMAXPROCS != 8 || ev.CPU != "some CPU" {
 		t.Errorf("first result GOMAXPROCS/CPU wrong: %+v", ev)
+	}
+	for _, r := range results {
+		if r.NProc != 2 {
+			t.Errorf("%s: nproc = %d, want the host's 2 on every row", r.Name, r.NProc)
+		}
+	}
+	if doc, err := json.Marshal(ev); err != nil || !strings.Contains(string(doc), `"nproc":2`) {
+		t.Errorf("nproc column missing from JSON: %s (%v)", doc, err)
 	}
 	fig := results[2]
 	if fig.Name != "BenchmarkFig6" || fig.Package != "econcast" {
@@ -67,7 +76,7 @@ func TestParse(t *testing.T) {
 }
 
 func TestParseEmptyInputYieldsEmptyArray(t *testing.T) {
-	results, err := parse(strings.NewReader("PASS\nok \tx\t0.1s\n"))
+	results, err := parse(strings.NewReader("PASS\nok \tx\t0.1s\n"), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

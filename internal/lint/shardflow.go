@@ -62,7 +62,7 @@ var shardflowConfigs = map[string]shardflowConfig{
 		currentField: "current",
 		idField:      "id",
 		ownedSlices: map[string]bool{
-			"headAt": true, "headSeq": true, "listeningTo": true,
+			"headAt": true, "headSeq": true,
 			"order": true, "pos": true,
 		},
 		controlScalars: map[string]bool{

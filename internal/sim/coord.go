@@ -1,13 +1,14 @@
 // Sharded spatial-interference engine. For non-clique topologies the
 // coordinator partitions nodes into spatial shards (internal/topology's
-// Partition), gives each shard its own event heap, and keeps all node
-// state in flat structure-of-arrays slices so the per-event working set
-// is dense. Dispatch order is the global (time, key) order of the
-// single-queue engine: the coordinator maintains an indexed min-heap
-// over shard queue heads and lets the leading shard drain a run of
-// events conservatively bounded by the earliest event of any other
-// shard (the lookahead bound), resynchronizing whenever an event pushes
-// across a shard boundary. Because the dispatch order, the per-node RNG
+// Partition), gives each shard its own event heap, and keeps node state
+// in flat per-node arrays — every dispatch-path scalar packed into one
+// cache line per node — so the per-event working set is dense.
+// Dispatch order is the global (time, key) order of the single-queue
+// engine: the coordinator maintains an indexed min-heap over shard
+// queue heads and lets the leading shard drain a run of events
+// conservatively bounded by the earliest event of any other shard (the
+// lookahead bound), resynchronizing whenever an event pushes across a
+// shard boundary. Because the dispatch order, the per-node RNG
 // streams, and the content-derived event keys are exactly those of the
 // single-queue engine, results are byte-identical by construction — for
 // any shard count, and at any sweep worker count above it.
@@ -68,8 +69,7 @@ type coordinator struct {
 	split  bool
 	wdepth int
 
-	shards  []shardRuntime
-	shardOf []int32 // node -> owning shard (copied flat for the push path)
+	shards []shardRuntime
 
 	// order is an indexed binary min-heap of shard ids keyed by each
 	// shard's earliest event (at, seq); pos[s] is shard s's position in
@@ -95,43 +95,29 @@ type coordinator struct {
 	// single-queue, serial-sharded, and parallel engines.
 	rngs []rng.Source
 
-	// lamport[i] is node i's logical clock for the canonical event
-	// order; see engine.push for the key construction.
-	lamport []uint64
-
-	// hot is the cache-line-packed per-node dynamic state: one 64-byte
-	// record per node holding every scalar the dispatch path reads or
-	// writes, replacing nine parallel SoA slices whose per-event working
-	// set spanned nine cache lines.
+	// hot is the cache-line-packed per-node state: one 64-byte record
+	// per node holding every scalar the dispatch path reads or writes —
+	// the node's dynamic state, its Lamport clock, its packet slot's
+	// scalars, the listener counter, and its shard and parameter-block
+	// indices — so an event on a node loads one line of per-node state
+	// besides its protocol core.
 	hot []nodeHot
 
 	// cores is the per-node protocol dynamic state (64 bytes each);
-	// params holds the deduplicated immutable parameter blocks and
-	// paramOf/harvest map nodes onto them. Splitting econcast.Node this
-	// way keeps the per-node footprint at one cache line for the
-	// dispatch path plus one for the energy ledger.
+	// params holds the deduplicated immutable parameter blocks that
+	// hot[i].paramOf indexes, and harvest the per-node harvest wrappers.
+	// Splitting econcast.Node this way keeps the per-node footprint at
+	// one cache line for the dispatch path plus one for the energy ledger.
 	cores   []econcast.Core
 	params  []econcast.Params
-	paramOf []int32
 	harvest []func(float64) float64
 
-	// Per-transmitter packet slots, SoA like the node state. Listener
-	// slices keep their capacity across holds, so starting a packet never
-	// allocates in steady state.
-	pktActive    []bool
+	// nbr[i] is node i's neighbor set (precomputed, sorted), and
+	// pktListeners[i] the listener list of node i's packet slot. Each is
+	// a window of one contiguous slab with capacity deg(i); listeners are
+	// a subset of neighbors, so starting a packet never reallocates.
+	nbr          [][]int
 	pktListeners [][]int
-	pktBurstLen  []int
-	pktDelivered []bool
-
-	// nbr[i] is node i's neighbor set (precomputed, sorted).
-	nbr [][]int
-
-	// listeningTo[j] counts the in-flight packets whose listener list
-	// holds j (a node frozen in Listen can be captured by several
-	// overlapping packets). It inverts the pktListeners relation, so the
-	// hidden-terminal check at transmission start is one counter load per
-	// neighbor instead of a scan over every nearby in-flight packet.
-	listeningTo []int32
 
 	// headAt/headSeq cache each shard's earliest-event key. shardLess
 	// reads these two dense arrays (hot in cache at any shard count)
@@ -165,22 +151,33 @@ type coordinator struct {
 	ctx dispCtx
 }
 
-// nodeHot packs one node's dispatch-path dynamic state into a single
-// 64-byte cache line. The former bool slices became bits of flags; the
-// transition version is 32 bits here (the event struct keeps 64 — the
-// coordinator casts, and a version cannot realistically wrap within one
-// transition's lifetime since wrapping would take 2^32 re-schedules of
-// one node while its event is in flight).
+// nodeHot packs one node's dispatch-path state into a single 64-byte
+// cache line. Booleans are bits of flags; the transition version is 32
+// bits here (the event struct keeps 64 — the coordinator casts, and a
+// version cannot realistically wrap within one transition's lifetime
+// since wrapping would take 2^32 re-schedules of one node while its
+// event is in flight).
 type nodeHot struct {
 	lastUpdate   float64
 	lastBurstEnd float64
-	version      uint32
-	busy         int32
-	burstCount   int32
-	state        model.State
-	flags        uint8
-	_            [2]byte
-	_            [32]byte // pad to 64 bytes; see sizeof test
+	// lamport is the node's logical clock for the canonical event order;
+	// see engine.push for the key construction.
+	lamport    uint64
+	version    uint32
+	busy       int32 // transmitting neighbors (carrier sense)
+	burstCount int32
+	// listeningTo counts the in-flight packets whose listener list holds
+	// this node (a node frozen in Listen can be captured by several
+	// overlapping packets). It inverts the pktListeners relation, so the
+	// hidden-terminal check at transmission start is one counter load per
+	// neighbor instead of a scan over every nearby in-flight packet.
+	listeningTo int32
+	pktBurstLen int32 // packets already sent in the slot's current hold
+	shardOf     int32 // owning shard; immutable after construction
+	paramOf     int32 // index into coordinator.params; immutable
+	state       model.State
+	flags       uint8
+	_           [10]byte // pad to 64 bytes; see TestNodeHotSize
 }
 
 // nodeHot flag bits.
@@ -189,7 +186,9 @@ const (
 	fSleptSince
 	fCollidedInPkt
 	fWarmSnapped
-	fInterior // deeper than wdepth: eligible for parallel window dispatch (par.go)
+	fInterior     // deeper than wdepth: eligible for parallel window dispatch (par.go)
+	fPktActive    // the node's packet slot holds an in-flight packet
+	fPktDelivered // the slot's current hold reached at least one receiver
 )
 
 func (h *nodeHot) has(f uint8) bool { return h.flags&f != 0 }
@@ -249,20 +248,12 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 		packetTime: model.DefaultIfZero(cfg.Protocol.PacketTime, 1e-3),
 
 		rngs:    make([]rng.Source, n),
-		lamport: make([]uint64, n),
 		hot:     make([]nodeHot, n),
 		cores:   make([]econcast.Core, n),
-		paramOf: make([]int32, n),
 		harvest: make([]func(float64) float64, n),
 
-		pktActive:    make([]bool, n),
+		nbr:          make([][]int, n),
 		pktListeners: make([][]int, n),
-		pktBurstLen:  make([]int, n),
-		pktDelivered: make([]bool, n),
-
-		nbr:         make([][]int, n),
-		listeningTo: make([]int32, n),
-		shardOf:     make([]int32, n),
 
 		gp:            make([]float64, n),
 		ap:            make([]float64, n),
@@ -286,9 +277,19 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 		c.pos[s] = -1
 	}
 	c.current = -1
+	degSum := 0
 	for i := 0; i < n; i++ {
-		c.nbr[i] = c.topo.Neighbors(i)
-		c.shardOf[i] = int32(c.part.ShardOf(i))
+		degSum += c.topo.Degree(i)
+	}
+	nbrSlab := make([]int, degSum)
+	lstSlab := make([]int, degSum)
+	off := 0
+	for i := 0; i < n; i++ {
+		d := copy(nbrSlab[off:], c.topo.Neighbors(i))
+		c.nbr[i] = nbrSlab[off : off+d : off+d]
+		c.pktListeners[i] = lstSlab[off : off : off+d]
+		off += d
+		c.hot[i].shardOf = int32(c.part.ShardOf(i))
 		c.rngs[i] = *rng.New(rng.DeriveSeed(cfg.Seed, rngNodeDomain, uint64(i)))
 	}
 	// Parameter blocks are immutable and comparable, so identical nodes
@@ -322,7 +323,7 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 			c.params = append(c.params, par)
 			seen[par] = id
 		}
-		c.paramOf[i] = id
+		c.hot[i].paramOf = id
 		// Same brownout/harvest wrapper selection as the single-queue
 		// engine: the exact constant-budget path is kept bit-for-bit when
 		// neither a profile nor a brownout schedule exists.
@@ -349,7 +350,7 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 }
 
 // pr returns node i's shared parameter block.
-func (c *coordinator) pr(i int) *econcast.Params { return &c.params[c.paramOf[i]] }
+func (c *coordinator) pr(i int) *econcast.Params { return &c.params[c.hot[i].paramOf] }
 
 func (c *coordinator) run() {
 	c.start()
@@ -461,12 +462,13 @@ func (x *dispCtx) dispatch(ev event) {
 // an eager heap repair; in a parallel run through the worker's local
 // heap or a cross-shard staging lane.
 func (x *dispCtx) push(ev event) {
-	l := x.lamport[ev.node]
+	h := &x.hot[ev.node]
+	l := h.lamport
 	if x.curLamport > l {
 		l = x.curLamport
 	}
 	l++
-	x.lamport[ev.node] = l
+	h.lamport = l
 	ev.seq = l<<x.shift | uint64(ev.node)
 	if x.par != nil {
 		// Window execution: an interior event's push targets are always in
@@ -476,8 +478,8 @@ func (x *dispCtx) push(ev event) {
 		return
 	}
 	c := x.coordinator
-	s := c.shardOf[ev.node]
-	if c.split && c.hot[ev.node].has(fInterior) {
+	s := h.shardOf
+	if c.split && h.has(fInterior) {
 		c.shards[s].iq.push(ev)
 	} else {
 		c.shards[s].queue.push(ev)
@@ -771,7 +773,7 @@ func (x *dispCtx) startTransmission(i int) {
 			// Channel became busy for j: freeze by resampling (rates -> 0).
 			x.scheduleTransition(j)
 		}
-		if x.listeningTo[j] > 0 && !h.has(fCollidedInPkt) {
+		if h.listeningTo > 0 && !h.has(fCollidedInPkt) {
 			h.set(fCollidedInPkt)
 			if x.measuring {
 				x.collided++
@@ -781,16 +783,17 @@ func (x *dispCtx) startTransmission(i int) {
 	x.startPacket(i, 0, false)
 }
 
-func (x *dispCtx) startPacket(i, burstLen int, delivered bool) {
-	x.pktActive[i] = true
-	x.pktBurstLen[i] = burstLen
-	x.pktDelivered[i] = delivered
+func (x *dispCtx) startPacket(i int, burstLen int32, delivered bool) {
+	hi := &x.hot[i]
+	hi.set(fPktActive)
+	hi.pktBurstLen = burstLen
+	hi.put(fPktDelivered, delivered)
 	listeners := x.pktListeners[i][:0]
 	for _, j := range x.nbr[i] {
 		h := &x.hot[j]
 		if h.state == model.Listen {
-			listeners = append(listeners, j) //lint:allow hotalloc reuses the slot's capacity; grows at most deg times per run
-			x.listeningTo[j]++
+			listeners = append(listeners, j) //lint:allow hotalloc capacity is deg(i) and listeners are a subset of neighbors, so this never reallocates
+			h.listeningTo++
 			h.put(fCollidedInPkt, h.busy > 1)
 			if h.has(fCollidedInPkt) && x.measuring {
 				x.collided++
@@ -806,7 +809,8 @@ func (x *dispCtx) startPacket(i, burstLen int, delivered bool) {
 }
 
 func (x *dispCtx) handlePacketEnd(i int) {
-	if !x.pktActive[i] || x.hot[i].state != model.Transmit {
+	hi := &x.hot[i]
+	if !hi.has(fPktActive) || hi.state != model.Transmit {
 		return
 	}
 	// A stuck (silenced) radio transmits carrier but delivers nothing;
@@ -815,8 +819,8 @@ func (x *dispCtx) handlePacketEnd(i int) {
 	silenced := x.flt.Silenced(i, x.now)
 	success := 0
 	for _, j := range x.pktListeners[i] {
-		x.listeningTo[j]-- // this packet is over; balances startPacket
 		h := &x.hot[j]
+		h.listeningTo-- // this packet is over; balances startPacket
 		if h.state != model.Listen {
 			// Left mid-packet (churn departure or crash): no reception.
 			h.clear(fCollidedInPkt)
@@ -857,11 +861,11 @@ func (x *dispCtx) handlePacketEnd(i int) {
 		}
 	}
 	if success > 0 {
-		x.pktDelivered[i] = true
+		hi.set(fPktDelivered)
 	}
 	// The slot stays readable for the remainder of this handler;
 	// startPacket reclaims it on a hold.
-	x.pktActive[i] = false
+	hi.clear(fPktActive)
 
 	// A physically depleted listener is forced to sleep to recharge.
 	if x.cfg.HardBatteryFloor {
@@ -887,12 +891,12 @@ func (x *dispCtx) handlePacketEnd(i int) {
 		forced = true // departed or crashed: release the channel now
 	}
 	if !forced && x.rngs[i].Bernoulli(cont) {
-		x.startPacket(i, x.pktBurstLen[i]+1, x.pktDelivered[i])
+		x.startPacket(i, hi.pktBurstLen+1, hi.has(fPktDelivered))
 		return
 	}
 	// Hold complete: record its length if it reached any receiver.
-	if x.pktDelivered[i] && x.measuring {
-		x.bl[i].Add(float64(x.pktBurstLen[i] + 1))
+	if hi.has(fPktDelivered) && x.measuring {
+		x.bl[i].Add(float64(hi.pktBurstLen + 1))
 	}
 	// Release: transmitter returns to listen (Fig. 1), neighbors unfreeze.
 	x.setState(i, model.Listen)
@@ -945,12 +949,13 @@ func (x *dispCtx) handleFault(i int) {
 	// dies undelivered and the channel is released for its neighbors.
 	switch x.hot[i].state {
 	case model.Transmit:
-		if x.pktActive[i] {
+		if hi := &x.hot[i]; hi.has(fPktActive) {
 			for _, j := range x.pktListeners[i] {
-				x.listeningTo[j]--
-				x.hot[j].clear(fCollidedInPkt)
+				h := &x.hot[j]
+				h.listeningTo--
+				h.clear(fCollidedInPkt)
 			}
-			x.pktActive[i] = false
+			hi.clear(fPktActive)
 		}
 		x.setState(i, model.Sleep)
 		x.bump(i)

@@ -13,15 +13,17 @@ import (
 	"econcast/internal/topology"
 )
 
-// TestLargeNSmoke drives the engine over a 100k-node grid on a
-// truncated horizon, fanning two replicate cells through the sweep so
-// the race detector has concurrent engines to watch. When GOMAXPROCS
-// exceeds 1 (the CI smoke sets 4), the hook-free cells auto-select the
-// window-parallel engine, and the first cell is re-run through the
-// forced-serial single-queue path and compared for deep equality — the
-// multi-core smoke double-checks the byte-identity contract at scale.
-// At this N it is far too heavy for the ordinary `go test ./...` pass,
-// so it only runs when CI asks for it via ECONCAST_LARGE_N_SMOKE=1.
+// TestLargeNSmoke drives the window-parallel engine over a 100k-node
+// grid on a truncated horizon, fanning two replicate cells through the
+// sweep so the race detector has concurrent engines to watch. The cells
+// force Parallel: 4 (auto would pick the serial coordinator), so with
+// GOMAXPROCS above 1 (the CI smoke sets 4) the window workers run
+// concurrently and the barrier protocol is raced at real scale. The
+// first cell is re-run through the forced-serial single-queue path and
+// compared for deep equality — the multi-core smoke double-checks the
+// byte-identity contract at scale. At this N it is far too heavy for
+// the ordinary `go test ./...` pass, so it only runs when CI asks for
+// it via ECONCAST_LARGE_N_SMOKE=1.
 func TestLargeNSmoke(t *testing.T) {
 	if os.Getenv("ECONCAST_LARGE_N_SMOKE") == "" {
 		t.Skip("set ECONCAST_LARGE_N_SMOKE=1 to run the 100k-node smoke test")
@@ -36,13 +38,11 @@ func TestLargeNSmoke(t *testing.T) {
 			Duration: 0.004,
 			Warmup:   0.001,
 			Seed:     rng.DeriveSeed(11, 100000, rep),
+			Parallel: 4,
 		}
 	}
-	if cfg := cell(1); cfg.parallelPlan() > 1 {
-		t.Logf("auto plan: parallel engine with %d workers", cfg.parallelPlan())
-	} else {
-		t.Logf("auto plan: serial engine (GOMAXPROCS %d)", runtime.GOMAXPROCS(0))
-	}
+	first := cell(1)
+	t.Logf("parallel engine with %d workers requested (GOMAXPROCS %d)", first.parallelPlan(), runtime.GOMAXPROCS(0))
 	reps := []uint64{1, 2}
 	metrics, err := sweep.Map(2, reps, func(ri int, rep uint64) (*Metrics, error) {
 		return Run(cell(rep))

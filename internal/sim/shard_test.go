@@ -354,3 +354,62 @@ func ExampleConfig_shards() {
 	fmt.Println(m.PacketsSent > 0)
 	// Output: true
 }
+
+// TestListeningToBalances pins the inverted listener relation the
+// hidden-terminal check reads: between any two events, and at the end of
+// a run, hot[j].listeningTo equals the number of in-flight packets
+// (fPktActive slots) whose listener list holds j. Crashes abandon packets
+// mid-flight, so the fault run exercises the unwind path too.
+func TestListeningToBalances(t *testing.T) {
+	check := func(t *testing.T, c *coordinator) (inFlight int) {
+		t.Helper()
+		want := make([]int32, c.n)
+		for i := 0; i < c.n; i++ {
+			if !c.hot[i].has(fPktActive) {
+				continue
+			}
+			inFlight++
+			for _, j := range c.pktListeners[i] {
+				want[j]++
+			}
+		}
+		for j := range want {
+			if got := c.hot[j].listeningTo; got != want[j] {
+				t.Fatalf("node %d: listeningTo = %d, want %d", j, got, want[j])
+			}
+		}
+		return inFlight
+	}
+	for _, tc := range []struct {
+		name   string
+		faults *faults.Config
+	}{
+		{"fault-free", nil},
+		{"faults", &faults.Config{
+			Crash:   &faults.Crash{MeanUp: 40, MeanDown: 10},
+			Loss:    &faults.Loss{P: 0.1},
+			Silence: &faults.Silence{MeanEvery: 80, MeanFor: 5},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := gridCfg(17)
+			cfg.Faults = tc.faults
+			flt, err := faults.Compile(cfg.Faults, cfg.Network.N(), cfg.Duration, cfg.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := newCoordinator(cfg, flt, 4)
+			busy := 0
+			c.onDispatch = func(event) {
+				if check(t, c) > 0 {
+					busy++
+				}
+			}
+			c.run()
+			check(t, c)
+			if busy == 0 {
+				t.Fatal("no packet was ever in flight; the check is vacuous")
+			}
+		})
+	}
+}

@@ -17,7 +17,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"runtime"
 
 	"econcast/internal/econcast"
 	"econcast/internal/faults"
@@ -120,9 +119,11 @@ type Config struct {
 	Churn func(node int, t float64) bool
 
 	// Shards controls the sharded spatial-interference engine used for
-	// non-clique topologies: 0 auto-selects (sharding kicks in at
-	// autoShardMinN nodes), 1 forces the single-queue engine, and >= 2
-	// forces a sharded run with about that many shards. The two engines —
+	// non-clique topologies: 0 auto-selects (the serial sharded
+	// coordinator takes over at autoShardMinN nodes, whatever
+	// GOMAXPROCS is), 1 forces the single-queue engine, and >= 2 forces a
+	// sharded run with about that many shards. A Parallel >= 2 run uses
+	// at least one shard per worker. The two engines —
 	// and every shard count — produce byte-identical results: the sharded
 	// coordinator dispatches events in the same global (at, seq) order,
 	// event keys are content-derived (per-node Lamport clocks), and every
@@ -132,15 +133,15 @@ type Config struct {
 	Shards int
 
 	// Parallel controls the multi-core window-synchronized engine
-	// (par.go): 0 auto-selects (parallel kicks in for non-clique
-	// topologies at autoShardMinN nodes when GOMAXPROCS > 1 and no
-	// serial-only hook is set), 1 forces a single-threaded run, and >= 2
-	// forces that many shard workers. The parallel engine is
-	// byte-identical to the serial engines at every worker count and
-	// GOMAXPROCS setting — see DESIGN.md §9 for the merge proof. Hooks
-	// that observe the global schedule (EventLog, OnDeliver, OnTick,
-	// EstimateListeners, TrackOccupancy, Churn, Harvest) force a serial
-	// run regardless.
+	// (par.go): 0 and 1 both run single-threaded (the serial sharded
+	// coordinator or the single-queue engine, per Shards), and >= 2
+	// forces that many shard workers. Auto never picks the window engine:
+	// measured on a 2-vCPU host it costs about twice the serial engine's
+	// CPU per event. The parallel engine is byte-identical to the serial
+	// engines at every worker count and GOMAXPROCS setting — see
+	// DESIGN.md §9 for the merge proof. Hooks that observe the global
+	// schedule (EventLog, OnDeliver, OnTick, EstimateListeners,
+	// TrackOccupancy, Churn, Harvest) force a serial run regardless.
 	Parallel int
 
 	// Faults, when non-nil, injects the shared fault processes
@@ -249,22 +250,13 @@ func (c *Config) parallelEligible() bool {
 }
 
 // parallelPlan resolves the Parallel setting to an effective worker
-// count; 1 means a single-threaded run.
+// count; 1 means a single-threaded run. Only an explicit Parallel >= 2
+// selects the window-parallel engine (see Config.Parallel for why).
 func (c *Config) parallelPlan() int {
-	if c.Parallel == 1 || c.Topology == nil || c.Topology.IsClique() {
+	if c.Parallel < 2 || c.Topology == nil || c.Topology.IsClique() || !c.parallelEligible() {
 		return 1
 	}
-	if !c.parallelEligible() {
-		return 1
-	}
-	if c.Parallel >= 2 {
-		return c.Parallel
-	}
-	n := c.Topology.N()
-	if g := runtime.GOMAXPROCS(0); n >= autoShardMinN && g > 1 {
-		return g
-	}
-	return 1
+	return c.Parallel
 }
 
 // Metrics are the outputs of a run, measured over (Warmup, Duration].
