@@ -226,25 +226,45 @@ func (n *Core) scaled(p *Params, power float64) float64 {
 // listen->transmit rate of the non-capture variant and the
 // transmit->listen rate of the capture variant. Rates are per second.
 func (n *Core) Rates(p *Params, carrierFree bool, estimate float64) Rates {
+	r := Rates{SleepToListen: n.SleepToListen(p, carrierFree)}
+	r.ListenToSleep, r.ListenToTransmit = n.ListenRates(p, carrierFree, estimate)
+	perSec := 1 / p.PacketTime
+	switch p.Variant {
+	case Capture:
+		r.TransmitToListen = math.Exp(-estimate/p.Sigma) * perSec
+	case NonCapture:
+		r.TransmitToListen = perSec
+	}
+	return r
+}
+
+// SleepToListen is the SleepToListen field of Rates on its own. A host
+// that needs only the rates out of a node's current state calls this or
+// ListenRates and skips the exponentials of the other states.
+func (n *Core) SleepToListen(p *Params, carrierFree bool) float64 {
+	a := 0.0
+	if carrierFree {
+		a = 1
+	}
+	return a * math.Exp(-n.scaled(p, p.ListenPower)) * (1 / p.PacketTime)
+}
+
+// ListenRates returns the ListenToSleep and ListenToTransmit fields of
+// Rates, computed without the other two.
+func (n *Core) ListenRates(p *Params, carrierFree bool, estimate float64) (toSleep, toTransmit float64) {
 	perSec := 1 / p.PacketTime
 	a := 0.0
 	if carrierFree {
 		a = 1
 	}
-	r := Rates{
-		SleepToListen: a * math.Exp(-n.scaled(p, p.ListenPower)) * perSec,
-		ListenToSleep: a * perSec,
-	}
 	lx := n.scaled(p, p.ListenPower) - n.scaled(p, p.TransmitPower)
 	switch p.Variant {
 	case Capture:
-		r.ListenToTransmit = a * math.Exp(lx) * perSec
-		r.TransmitToListen = math.Exp(-estimate/p.Sigma) * perSec
+		toTransmit = a * math.Exp(lx) * perSec
 	case NonCapture:
-		r.ListenToTransmit = a * math.Exp(lx+estimate/p.Sigma) * perSec
-		r.TransmitToListen = perSec
+		toTransmit = a * math.Exp(lx+estimate/p.Sigma) * perSec
 	}
-	return r
+	return a * perSec, toTransmit
 }
 
 // ContinueTransmitProb is the packetized form of the transmit-state
@@ -329,9 +349,10 @@ func (n *Core) power(p *Params, st model.State) float64 {
 
 // Node is the per-node EconCast state machine behind the original
 // single-owner API: the cold Params, the optional harvest profile, and
-// the hot Core, packaged together for hosts (asim, testbed, the
-// single-queue sim engine) that keep one object per node. It is not safe
-// for concurrent use; each host goroutine owns one Node.
+// the hot Core, packaged together for hosts (asim, testbed) that keep
+// one object per node; the sim coordinator keeps Core and Params in
+// separate slabs instead. It is not safe for concurrent use; each host
+// goroutine owns one Node.
 //
 //lint:owner goroutine each host goroutine owns one Node
 type Node struct {

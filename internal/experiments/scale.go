@@ -125,7 +125,7 @@ func runScale(opts Options) ([]*Table, error) {
 
 	det := &Table{
 		Name: "Scale: sharded engine, ~1k nodes/shard (rho=60uW, L=X=500uW, sigma=0.5)",
-		Notes: "byte-identical to the single-queue engine at every shard and worker count; " +
+		Notes: "byte-identical to a one-shard run at every shard and worker count; " +
 			"horizons shrink with N so cells dispatch comparable event counts",
 		Head: []string{"topology", "N", "shards", "events", "packets", "groupput(agg)"},
 	}

@@ -23,15 +23,14 @@ type hotEntry struct {
 // same-package calls is "hot": the simulators execute those functions once
 // per discrete event (millions of times per run), the simplex once per
 // pivot, and the Gibbs evaluation once per dual-descent step, so a single
-// allocation there dominates the profile. Cold setup/teardown (newEngine,
-// Run, Solve's tableau construction, Enumerate) is not reachable from the
-// entries and stays unconstrained.
+// allocation there dominates the profile. Cold setup/teardown
+// (newCoordinator, Run, Solve's tableau construction, Enumerate) is not
+// reachable from the entries and stays unconstrained.
 var hotEntries = map[string][]hotEntry{
 	"econcast/internal/sim": {
-		{recv: "engine", method: "run"},
-		// The sharded engine's per-event path: the coordinator's round
-		// driver (shard pick, lookahead bound, heap repair) and the shard
-		// drain loop, from which dispatch and every handler are reachable.
+		// The serial per-event path: the coordinator's round driver (shard
+		// pick, lookahead bound, heap repair) and the shard drain loop,
+		// from which dispatch and every handler are reachable.
 		{recv: "coordinator", method: "step"},
 		{recv: "shardRuntime", method: "run"},
 		// The parallel engine's per-window path: the worker loop and the

@@ -1,25 +1,25 @@
 // Package fixture exercises the hotalloc analyzer: loaded as
 // econcast/internal/sim, everything statically reachable from
-// (*engine).run is the event loop and may not allocate; loaded under a
-// package with no hot entries (econcast/internal/viz) nothing may be
-// reported, and cold construction/teardown is never constrained.
+// (*shardRuntime).run is the event loop and may not allocate; loaded
+// under a package with no hot entries (econcast/internal/viz) nothing
+// may be reported, and cold construction/teardown is never constrained.
 package fixture
 
 type event struct{ at float64 }
 
-type engine struct {
+type shardRuntime struct {
 	queue   []event
 	scratch []int
 	occ     map[int]float64
 }
 
 // run is the hot entry point; its whole call tree is the event loop.
-func (e *engine) run() {
+func (e *shardRuntime) run() {
 	for e.step() {
 	}
 }
 
-func (e *engine) step() bool {
+func (e *shardRuntime) step() bool {
 	buf := make([]int, 8) // want hotalloc
 	_ = buf
 	e.scratch = append(e.scratch, 1) // want hotalloc
@@ -29,7 +29,7 @@ func (e *engine) step() bool {
 }
 
 // handleTick is hot only transitively: run -> step -> handleTick.
-func (e *engine) handleTick() {
+func (e *shardRuntime) handleTick() {
 	m := map[int]float64{0: 1} // want hotalloc
 	_ = m
 	e.grow()
@@ -42,14 +42,14 @@ func expand(xs []int) []int {
 }
 
 // grow shows the escape hatch for an audited amortized growth.
-func (e *engine) grow() {
+func (e *shardRuntime) grow() {
 	e.queue = append(e.queue, event{}) //lint:allow hotalloc amortized high-water growth, audited
 }
 
-// newEngine is cold: it is not reachable from run, so construction-time
-// allocation is unconstrained.
-func newEngine(n int) *engine {
-	return &engine{
+// newShardRuntime is cold: it is not reachable from run, so
+// construction-time allocation is unconstrained.
+func newShardRuntime(n int) *shardRuntime {
+	return &shardRuntime{
 		queue:   make([]event, 0, n),
 		scratch: make([]int, 0, n),
 		occ:     map[int]float64{},
@@ -57,7 +57,7 @@ func newEngine(n int) *engine {
 }
 
 // finish is cold teardown, also unreachable from run.
-func (e *engine) finish() []float64 {
+func (e *shardRuntime) finish() []float64 {
 	out := make([]float64, len(e.queue))
 	for _, ev := range e.queue {
 		out = append(out, ev.at)

@@ -39,16 +39,20 @@ type event struct {
 	at float64
 }
 
-type engine struct {
-	now float64
+type coordinator struct {
 	tau float64
 }
 
-func (e *engine) active(i int, t float64) bool { return t < e.now }
+func (c *coordinator) active(i int, t float64) bool { return t < c.tau }
+
+type dispCtx struct {
+	*coordinator
+	now float64
+}
 
 func window(m *Metrics) float64 { return m.Window }
 
-func bugs(e *engine, p Protocol, c Config, m *Metrics) {
+func bugs(e *dispCtx, p Protocol, c Config, m *Metrics) {
 	ticks := p.SecondsToTicks(c.Duration)
 
 	deadline := e.now + ticks // want unitflow

@@ -139,50 +139,51 @@ func parseDim(s string) (Dim, error) {
 // drift) are deliberately absent — scalars combine freely.
 var unitRegistry = map[string]string{
 	// model: per-node hardware parameters (paper §II: rho_i, L_i, X_i).
-	"econcast/internal/model.Watt":                    "W",
-	"econcast/internal/model.MilliWatt":               "W",
-	"econcast/internal/model.MicroWatt":               "W",
-	"econcast/internal/model.Node.Budget":             "W",
-	"econcast/internal/model.Node.ListenPower":        "W",
-	"econcast/internal/model.Node.TransmitPower":      "W",
-	"econcast/internal/model.Node.Power.result":       "W",
-	"econcast/internal/model.Homogeneous.rho":         "W",
-	"econcast/internal/model.Homogeneous.listen":      "W",
-	"econcast/internal/model.Homogeneous.transmit":    "W",
+	"econcast/internal/model.Watt":                       "W",
+	"econcast/internal/model.MilliWatt":                  "W",
+	"econcast/internal/model.MicroWatt":                  "W",
+	"econcast/internal/model.Node.Budget":                "W",
+	"econcast/internal/model.Node.ListenPower":           "W",
+	"econcast/internal/model.Node.TransmitPower":         "W",
+	"econcast/internal/model.Node.Power.result":          "W",
+	"econcast/internal/model.Homogeneous.rho":            "W",
+	"econcast/internal/model.Homogeneous.listen":         "W",
+	"econcast/internal/model.Homogeneous.transmit":       "W",
 	"econcast/internal/model.NetState.Throughput.result": "pkt/s",
 
 	// sim: wall-clock quantities are seconds; multiplier intervals are
 	// ticks and must cross through Protocol.TicksToSeconds /
 	// SecondsToTicks.
-	"econcast/internal/sim.Protocol.Tau":                    "s",
-	"econcast/internal/sim.Protocol.PacketTime":             "s",
-	"econcast/internal/sim.Protocol.TicksToSeconds.ticks":   "tick",
-	"econcast/internal/sim.Protocol.TicksToSeconds.result":  "s",
-	"econcast/internal/sim.Protocol.SecondsToTicks.t":       "s",
-	"econcast/internal/sim.Protocol.SecondsToTicks.result":  "tick",
-	"econcast/internal/sim.Config.Duration":                 "s",
-	"econcast/internal/sim.Config.Warmup":                   "s",
-	"econcast/internal/sim.Config.InitialBattery":           "J",
-	"econcast/internal/sim.Config.WarmEta":                  "1/W",
-	"econcast/internal/sim.Metrics.Window":                  "s",
-	"econcast/internal/sim.Metrics.Power":                   "W",
-	"econcast/internal/sim.Metrics.EtaFinal":                "1/W",
-	"econcast/internal/sim.Metrics.Battery":                 "J",
-	"econcast/internal/sim.Metrics.PacketsSent":             "pkt",
-	"econcast/internal/sim.Metrics.PacketsDelivered":        "pkt",
-	"econcast/internal/sim.Metrics.PacketsAnyDeliver":       "pkt",
-	"econcast/internal/sim.Metrics.CollidedReceptions":      "pkt",
-	"econcast/internal/sim.Metrics.LostReceptions":          "pkt",
-	"econcast/internal/sim.event.at":                        "s",
-	"econcast/internal/sim.nodeState.lastUpdate":            "s",
-	"econcast/internal/sim.nodeState.lastBurstEnd":          "s",
-	"econcast/internal/sim.engine.now":                      "s",
-	"econcast/internal/sim.engine.tau":                      "s",
-	"econcast/internal/sim.engine.packetTime":               "s",
-	"econcast/internal/sim.engine.occLast":                  "s",
-	"econcast/internal/sim.engine.accrueOccupancy.until":    "s",
-	"econcast/internal/sim.engine.active.t":                 "s",
-	"econcast/internal/sim.engine.handleTick.tau":           "s",
+	"econcast/internal/sim.Protocol.Tau":                   "s",
+	"econcast/internal/sim.Protocol.PacketTime":            "s",
+	"econcast/internal/sim.Protocol.TicksToSeconds.ticks":  "tick",
+	"econcast/internal/sim.Protocol.TicksToSeconds.result": "s",
+	"econcast/internal/sim.Protocol.SecondsToTicks.t":      "s",
+	"econcast/internal/sim.Protocol.SecondsToTicks.result": "tick",
+	"econcast/internal/sim.Config.Duration":                "s",
+	"econcast/internal/sim.Config.Warmup":                  "s",
+	"econcast/internal/sim.Config.InitialBattery":          "J",
+	"econcast/internal/sim.Config.WarmEta":                 "1/W",
+	"econcast/internal/sim.Metrics.Window":                 "s",
+	"econcast/internal/sim.Metrics.Power":                  "W",
+	"econcast/internal/sim.Metrics.EtaFinal":               "1/W",
+	"econcast/internal/sim.Metrics.Battery":                "J",
+	"econcast/internal/sim.Metrics.PacketsSent":            "pkt",
+	"econcast/internal/sim.Metrics.PacketsDelivered":       "pkt",
+	"econcast/internal/sim.Metrics.PacketsAnyDeliver":      "pkt",
+	"econcast/internal/sim.Metrics.CollidedReceptions":     "pkt",
+	"econcast/internal/sim.Metrics.LostReceptions":         "pkt",
+	"econcast/internal/sim.event.at":                       "s",
+	"econcast/internal/sim.nodeHot.lastUpdate":             "s",
+	"econcast/internal/sim.nodeHot.lastBurstEnd":           "s",
+	"econcast/internal/sim.coordinator.tau":                "s",
+	"econcast/internal/sim.coordinator.horizon":            "s",
+	"econcast/internal/sim.coordinator.packetTime":         "s",
+	"econcast/internal/sim.coordinator.occLast":            "s",
+	"econcast/internal/sim.coordinator.active.t":           "s",
+	"econcast/internal/sim.dispCtx.now":                    "s",
+	"econcast/internal/sim.dispCtx.accrueOccupancy.until":  "s",
+	"econcast/internal/sim.dispCtx.handleTick.tau":         "s",
 
 	// statespace: analytical counterparts of the sim outputs.
 	"econcast/internal/statespace.P4Result.Throughput":          "pkt/s",

@@ -4,22 +4,48 @@ import (
 	"testing"
 
 	"econcast/internal/econcast"
+	"econcast/internal/faults"
 	"econcast/internal/model"
 	"econcast/internal/topology"
 )
 
-// steadyEngine builds an engine on the reference 8-node clique with an
-// effectively infinite horizon and pumps it past its transient, so that
-// every one-time growth (queue capacity, per-slot listener capacity) has
-// already happened and subsequent steps exercise pure steady state.
-func steadyEngine(tb testing.TB) *engine {
+// warmCoordinator builds a coordinator with the given shard count,
+// sets its batch limit to one so each step drives exactly one event
+// through the full dispatch path (shard pick, lookahead bound, dispatch,
+// heap repair), and pumps it past its transient: queue capacities and
+// listener slots are at their high-water marks, so subsequent steps
+// exercise pure steady state. cfg's horizon must lie beyond the pump.
+func warmCoordinator(tb testing.TB, cfg Config, shards int) *coordinator {
+	tb.Helper()
+	if err := cfg.validate(); err != nil {
+		tb.Fatal(err)
+	}
+	flt, err := faults.Compile(cfg.Faults, cfg.Network.N(), cfg.Duration, cfg.Seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := newCoordinator(cfg, flt, shards)
+	c.batchLimit = 1
+	c.start()
+	for i := 0; i < 200_000; i++ {
+		if !c.step() {
+			tb.Fatal("queues drained during warm-up")
+		}
+	}
+	return c
+}
+
+// steadyEngine is the reference steady-state loop: one coordinator
+// shard on an 8-node clique with an effectively infinite horizon.
+func steadyEngine(tb testing.TB) *coordinator {
 	tb.Helper()
 	nw := model.Homogeneous(8, 10*model.MicroWatt, 500*model.MicroWatt, 500*model.MicroWatt)
 	cfg := Config{
 		Network:  nw,
+		Topology: topology.Clique(8),
 		Protocol: Protocol{Mode: model.Groupput, Variant: econcast.Capture, Sigma: 0.5, Delta: 0.1},
 		// The horizon and warmup are never reached: the benchmark measures
-		// the engine loop itself, not the metrics window machinery. Eta is
+		// the event loop itself, not the metrics window machinery. Eta is
 		// frozen so the transition-rate mix (and with it the event queue's
 		// high-water mark) is stationary rather than drifting with the
 		// multiplier adaptation.
@@ -28,28 +54,18 @@ func steadyEngine(tb testing.TB) *engine {
 		Seed:      1,
 		FreezeEta: true,
 	}
-	if err := cfg.validate(); err != nil {
-		tb.Fatal(err)
-	}
-	e := newEngine(cfg, nil)
-	e.start()
-	for i := 0; i < 200_000; i++ {
-		if !e.step() {
-			tb.Fatal("queue drained during warm-up")
-		}
-	}
-	return e
+	return warmCoordinator(tb, cfg, 1)
 }
 
-// BenchmarkEventLoop measures one discrete event through the engine's
-// hot path. Run with -benchmem: the acceptance bar for the
-// allocation-free event loop is 0 allocs/op here.
+// BenchmarkEventLoop measures one discrete event through the serial
+// dispatch path on a clique. Run with -benchmem: the acceptance bar for
+// the allocation-free event loop is 0 allocs/op here.
 func BenchmarkEventLoop(b *testing.B) {
-	e := steadyEngine(b)
+	c := steadyEngine(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !e.step() {
+		if !c.step() {
 			b.Fatal("queue drained")
 		}
 	}
@@ -60,9 +76,9 @@ func BenchmarkEventLoop(b *testing.B) {
 // one allocation per hundred events) absorbs the rare amortized
 // high-water-mark growth of the event queue.
 func TestEventLoopSteadyStateAllocs(t *testing.T) {
-	e := steadyEngine(t)
+	c := steadyEngine(t)
 	avg := testing.AllocsPerRun(50_000, func() {
-		if !e.step() {
+		if !c.step() {
 			t.Fatal("queue drained")
 		}
 	})
@@ -71,9 +87,9 @@ func TestEventLoopSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkEventLoopNonClique is the grid-topology variant: non-clique
-// runs additionally exercise the hidden-terminal collision scan, which
-// must also stay allocation-free.
+// BenchmarkEventLoopNonClique is the grid-topology variant on one
+// shard: non-clique runs additionally exercise hidden-terminal
+// collisions, which must also stay allocation-free.
 func BenchmarkEventLoopNonClique(b *testing.B) {
 	nw := model.Homogeneous(25, 10*model.MicroWatt, 500*model.MicroWatt, 500*model.MicroWatt)
 	cfg := Config{
@@ -84,20 +100,11 @@ func BenchmarkEventLoopNonClique(b *testing.B) {
 		Warmup:   1e17,
 		Seed:     1,
 	}
-	if err := cfg.validate(); err != nil {
-		b.Fatal(err)
-	}
-	e := newEngine(cfg, nil)
-	e.start()
-	for i := 0; i < 200_000; i++ {
-		if !e.step() {
-			b.Fatal("queue drained during warm-up")
-		}
-	}
+	c := warmCoordinator(b, cfg, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !e.step() {
+		if !c.step() {
 			b.Fatal("queue drained")
 		}
 	}

@@ -1,17 +1,19 @@
-// Sharded spatial-interference engine. For non-clique topologies the
-// coordinator partitions nodes into spatial shards (internal/topology's
-// Partition), gives each shard its own event heap, and keeps node state
-// in flat per-node arrays — every dispatch-path scalar packed into one
-// cache line per node — so the per-event working set is dense.
-// Dispatch order is the global (time, key) order of the single-queue
-// engine: the coordinator maintains an indexed min-heap over shard
-// queue heads and lets the leading shard drain a run of events
-// conservatively bounded by the earliest event of any other shard (the
-// lookahead bound), resynchronizing whenever an event pushes across a
-// shard boundary. Because the dispatch order, the per-node RNG
-// streams, and the content-derived event keys are exactly those of the
-// single-queue engine, results are byte-identical by construction — for
-// any shard count, and at any sweep worker count above it.
+// The event engine. Every run goes through the coordinator: it
+// partitions nodes into spatial shards (internal/topology's Partition;
+// a clique, or any topology below autoShardMinN nodes, is one shard),
+// gives each shard its own event heap, and keeps node state in flat
+// per-node arrays — every dispatch-path scalar packed into one cache
+// line per node — so the per-event working set is dense. Dispatch
+// order is one global (time, key) order: the coordinator maintains an
+// indexed min-heap over shard queue heads and lets the leading shard
+// drain a run of events conservatively bounded by the earliest event of
+// any other shard (the lookahead bound), resynchronizing whenever an
+// event pushes across a shard boundary. With one shard the bound is
+// infinite and the whole run is a single batch over one heap. Because
+// the dispatch order, the per-node RNG streams, and the
+// content-derived event keys do not depend on the partition, results
+// are byte-identical by construction — for any shard count, and at any
+// sweep worker count above it.
 //
 // The handler bodies live on dispCtx, a per-dispatcher view over the
 // shared SoA state: the serial coordinator drives a single dispCtx from
@@ -23,13 +25,12 @@
 // counters, latency buffer), which is what makes the parallel schedule
 // equivalent to this serial one — see DESIGN.md §9.
 //
-// The performance win of sharding alone is spatial: the single-queue
-// engine's hidden-terminal collision scan walks every node's packet
-// slot on each transmission start (O(N)); the coordinator inverts the
-// listener relation into a per-node counter (listeningTo), so a start
-// checks only its own neighbors — O(degree) regardless of N — and each
-// shard's event heap stays small enough that heap churn is
-// cache-resident.
+// The per-event cost is O(degree) regardless of N: instead of walking
+// every in-flight packet's listeners on each transmission start to find
+// hidden-terminal collisions, the coordinator inverts the listener
+// relation into a per-node counter (listeningTo), so a start checks
+// only its own neighbors; and on large topologies each shard's event
+// heap stays small enough that heap churn is cache-resident.
 package sim
 
 import (
@@ -44,8 +45,8 @@ import (
 	"econcast/internal/topology"
 )
 
-// coordinator is the sharded engine: SoA node state plus the shard
-// scheduling structures. In a serial run exactly one goroutine drives
+// coordinator is the engine: SoA node state plus the shard scheduling
+// structures. In a serial run exactly one goroutine drives
 // it; in a parallel run (par.go) shard workers share the SoA arrays
 // under the window-synchronization protocol and the scheduling fields
 // (order/pos/current/crossed) stay idle.
@@ -65,7 +66,7 @@ type coordinator struct {
 	// split, when true, routes events at interior nodes (Depths > wdepth,
 	// marked fInterior) into each shard's separate interior heap so the
 	// parallel engine (par.go) can drain interior prefixes concurrently;
-	// the serial engine leaves it false and uses one heap per shard.
+	// a serial run leaves it false and uses one heap per shard.
 	split  bool
 	wdepth int
 
@@ -88,11 +89,12 @@ type coordinator struct {
 	// full dispatch path.
 	batchLimit int
 
-	// rngs holds one independent stream per node; every draw is
-	// attributed to the node whose transition, packet decision, or
-	// estimate it realizes, so each stream's draw sequence is a function
-	// of that node's event history alone — identical across the
-	// single-queue, serial-sharded, and parallel engines.
+	// rngs holds one independent stream per node (derived from the run
+	// seed via rng.DeriveSeed); every draw is attributed to the node whose
+	// transition, packet decision, or estimate it realizes, so each
+	// stream's draw sequence is a function of that node's event history
+	// alone — identical at every shard count and in the parallel engine,
+	// which replays the same streams from a concurrent schedule.
 	rngs []rng.Source
 
 	// hot is the cache-line-packed per-node state: one 64-byte record
@@ -129,14 +131,11 @@ type coordinator struct {
 	logging    bool
 	packetTime float64
 
-	// onDispatch, when non-nil, observes every dispatched event in order
-	// (test instrumentation; nil in production runs).
-	onDispatch func(event)
-
-	// Canonical per-node metric accumulation (see engine): throughput
-	// seconds and burst moments are attributed to the transmitter and
-	// folded in node order by finish, so the totals are independent of
-	// the dispatch schedule's interleaving across nodes.
+	// Canonical per-node metric accumulation: throughput seconds and
+	// burst moments are attributed to the transmitter and folded in node
+	// order by finish, so the totals are independent of the dispatch
+	// schedule's interleaving across nodes — the property the parallel
+	// engine needs.
 	gp            []float64
 	ap            []float64
 	bl            []stats.Accumulator
@@ -161,7 +160,7 @@ type nodeHot struct {
 	lastUpdate   float64
 	lastBurstEnd float64
 	// lamport is the node's logical clock for the canonical event order;
-	// see engine.push for the key construction.
+	// see dispCtx.push for the key construction.
 	lamport    uint64
 	version    uint32
 	busy       int32 // transmitting neighbors (carrier sense)
@@ -204,9 +203,9 @@ func (h *nodeHot) put(f uint8, v bool) {
 
 // dispCtx is one dispatcher's view over the coordinator's shared state:
 // the event clock, the measuring predicate, and the schedule-private
-// metric counters. The serial coordinator has exactly one; the parallel
-// engine has one per shard worker. Handlers are methods on dispCtx so
-// both engines share their bodies; everything reached through the
+// metric counters. A serial run has exactly one; the parallel engine
+// has one per shard worker. Handlers are methods on dispCtx so both
+// share their bodies; everything reached through the
 // embedded coordinator is either node-owned (safe under the parallel
 // window protocol) or immutable after construction.
 type dispCtx struct {
@@ -324,9 +323,10 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 			seen[par] = id
 		}
 		c.hot[i].paramOf = id
-		// Same brownout/harvest wrapper selection as the single-queue
-		// engine: the exact constant-budget path is kept bit-for-bit when
-		// neither a profile nor a brownout schedule exists.
+		// Brownouts scale the node's harvest inside their windows. A
+		// wrapper is installed only when a profile or a brownout schedule
+		// exists for this node, so every other node keeps the exact
+		// constant-budget integration path bit for bit.
 		if v := flt.View(i); cfg.Harvest != nil {
 			node := i
 			if v.HasBrownout() {
@@ -359,9 +359,10 @@ func (c *coordinator) run() {
 	c.drain()
 }
 
-// start mirrors engine.start: every node's first transition and
-// multiplier tick plus all fault boundaries, seeded in node order so
-// event keys and RNG draws line up with the single-queue engine.
+// start seeds every node's first transition and multiplier tick plus
+// all of its fault-schedule boundaries, in node order. Fault boundaries
+// are pushed once here — the steady-state loop never schedules fault
+// events, so the fault-free hot path is untouched.
 func (c *coordinator) start() {
 	c.tau = c.params[0].Tau
 	x := &c.ctx
@@ -422,12 +423,9 @@ func (c *coordinator) drain() {
 	}
 }
 
-// dispatch realizes one event, mirroring the body of engine.step after
-// its horizon check.
+// dispatch realizes one event; the drain loop has already checked it
+// against the horizon.
 func (x *dispCtx) dispatch(ev event) {
-	if x.onDispatch != nil {
-		x.onDispatch(ev)
-	}
 	x.events++
 	if x.cfg.TrackOccupancy && x.measuring {
 		x.accrueOccupancy(ev.at)
@@ -457,10 +455,18 @@ func (x *dispCtx) dispatch(ev event) {
 	}
 }
 
-// push assigns the event its canonical content-derived key (see
-// engine.push) and routes it: serially into its node's shard queue with
-// an eager heap repair; in a parallel run through the worker's local
-// heap or a cross-shard staging lane.
+// push assigns the event its canonical content-derived key and routes
+// it: serially into its node's shard queue with an eager heap repair; in
+// a parallel run through the worker's local heap or a cross-shard
+// staging lane.
+//
+// The key is seq = l << shift | node, where l = max(lamport[node],
+// curLamport) + 1 and curLamport is the clock of the event being
+// dispatched. Keys are unique (per-node clocks strictly increase),
+// children sort strictly after their parents even at equal times, and —
+// because the key is derived from event content rather than from a
+// global push counter — the key of every event is independent of the
+// dispatch schedule that produced it. See DESIGN.md §9.
 func (x *dispCtx) push(ev event) {
 	h := &x.hot[ev.node]
 	l := h.lamport
@@ -575,14 +581,21 @@ func (c *coordinator) siftDown(i int) {
 	}
 }
 
-// ---- handlers: exact ports of the engine handlers onto SoA state ----
+// ---- handlers ----
+
+// accrue advances node i's battery and multiplier bookkeeping to now.
+// Multiplier boundaries are also forced by evTick events, so eta changes
+// land exactly on tau multiples regardless of event spacing.
 
 func (x *dispCtx) accrue(i int) {
 	h := &x.hot[i]
 	if !h.has(fWarmSnapped) && x.now >= x.cfg.Warmup {
-		// First accrual at or past the warmup boundary: advance exactly
-		// to the boundary, snapshot the battery, continue from there (see
-		// engine.accrue).
+		// First accrual at or past the warmup boundary: advance exactly to
+		// the boundary, snapshot the battery for the Power metric, and
+		// continue from there. The split point is per-node and depends only
+		// on the node's own accrual history, so batteries come out
+		// bit-identical in every schedule — including the parallel one,
+		// where no single event marks a global warmup crossing.
 		if dt := x.cfg.Warmup - h.lastUpdate; dt > 0 {
 			x.cores[i].Advance(x.pr(i), x.harvest[i], dt, h.state)
 		}
@@ -596,8 +609,12 @@ func (x *dispCtx) accrue(i int) {
 	}
 }
 
+// bump invalidates node i's pending transition event.
 func (c *coordinator) bump(i int) { c.hot[i].version++ }
 
+// active reports whether node i participates at time t: present under
+// the churn schedule (if any) and alive under the fault schedule. Both
+// checks are nil-safe and allocation-free.
 func (c *coordinator) active(i int, t float64) bool {
 	if c.cfg.Churn != nil && !c.cfg.Churn(i, t) {
 		return false
@@ -605,6 +622,7 @@ func (c *coordinator) active(i int, t float64) bool {
 	return c.flt.Alive(i, t)
 }
 
+// currentNetState snapshots the network state as a model.NetState.
 func (c *coordinator) currentNetState() model.NetState {
 	s := model.NetState{Transmitter: model.NoTransmitter}
 	for i := 0; i < c.n; i++ {
@@ -618,6 +636,9 @@ func (c *coordinator) currentNetState() model.NetState {
 	return s
 }
 
+// accrueOccupancy charges the interval since the last accrual to the
+// current network state. Called before any event mutates node states, so
+// the charged state is the one that actually held over the interval.
 func (x *dispCtx) accrueOccupancy(until float64) {
 	if until > x.cfg.Duration {
 		until = x.cfg.Duration
@@ -630,6 +651,7 @@ func (x *dispCtx) accrueOccupancy(until float64) {
 	x.coordinator.occLast = until
 }
 
+// setState switches node i's recorded state after accruing energy.
 func (x *dispCtx) setState(i int, st model.State) {
 	x.accrue(i)
 	if x.logging {
@@ -638,14 +660,17 @@ func (x *dispCtx) setState(i int, st model.State) {
 	x.hot[i].state = st
 }
 
-// logf writes one trace line; hot-path callers gate on x.logging (see
-// engine.logf for why).
+// logf writes one trace line. Callers on the hot path must gate the call
+// on x.logging themselves: building the variadic argument list boxes
+// every operand, which would allocate per event even with no log sink.
 func (c *coordinator) logf(format string, args ...any) {
 	if c.cfg.EventLog != nil {
 		fmt.Fprintf(c.cfg.EventLog, format+"\n", args...)
 	}
 }
 
+// estimateFor returns the transmitter-side listener estimate for count
+// successful receivers, applying the configured noise hook.
 func (x *dispCtx) estimateFor(i, count int) float64 {
 	if x.cfg.EstimateListeners != nil {
 		count = x.cfg.EstimateListeners(count, &x.rngs[i])
@@ -656,6 +681,9 @@ func (x *dispCtx) estimateFor(i, count int) float64 {
 	return x.pr(i).Estimate(count)
 }
 
+// listenEstimate is the continuous listener estimate used by the
+// non-capture variant's listen->transmit rate: the number of other
+// listening neighbors (whose pings the node hears).
 func (x *dispCtx) listenEstimate(i int) float64 {
 	count := 0
 	for _, j := range x.nbr[i] {
@@ -666,6 +694,9 @@ func (x *dispCtx) listenEstimate(i int) float64 {
 	return x.estimateFor(i, count)
 }
 
+// scheduleTransition samples node i's next state transition from its
+// current rates and pushes it. Transmitting nodes are packet-driven and
+// get no timer.
 func (x *dispCtx) scheduleTransition(i int) {
 	x.bump(i)
 	h := &x.hot[i]
@@ -683,21 +714,22 @@ func (x *dispCtx) scheduleTransition(i int) {
 	if x.cfg.Protocol.Variant == econcast.NonCapture && h.state == model.Listen {
 		est = x.listenEstimate(i)
 	}
-	r := x.cores[i].Rates(x.pr(i), carrierFree, est)
 	var total float64
 	switch h.state {
 	case model.Sleep:
-		total = r.SleepToListen
+		total = x.cores[i].SleepToListen(x.pr(i), carrierFree)
 	case model.Listen:
-		total = r.ListenToSleep + r.ListenToTransmit
+		toSleep, toTransmit := x.cores[i].ListenRates(x.pr(i), carrierFree, est)
+		total = toSleep + toTransmit
 	}
 	if total <= 0 {
 		return
 	}
 	dwell := x.rngs[i].Exp(total)
 	if h.state == model.Sleep {
-		// Sleep intervals run off the drift-scaled low-power clock, as in
-		// the single-queue engine.
+		// Sleep intervals are timed by the node's low-power clock, which
+		// the drift fault scales; listen/transmit timing runs off the
+		// (accurate) active-mode clock, as on the testbed hardware.
 		dwell *= x.flt.Drift(i)
 	}
 	x.push(event{
@@ -708,6 +740,7 @@ func (x *dispCtx) scheduleTransition(i int) {
 	})
 }
 
+// handleTransition fires node i's sampled transition.
 func (x *dispCtx) handleTransition(i int) {
 	x.accrue(i)
 	switch x.hot[i].state {
@@ -721,12 +754,12 @@ func (x *dispCtx) handleTransition(i int) {
 		if x.cfg.Protocol.Variant == econcast.NonCapture {
 			est = x.listenEstimate(i)
 		}
-		r := x.cores[i].Rates(x.pr(i), carrierFree, est)
-		total := r.ListenToSleep + r.ListenToTransmit
+		toSleep, toTransmit := x.cores[i].ListenRates(x.pr(i), carrierFree, est)
+		total := toSleep + toTransmit
 		if total <= 0 {
 			return
 		}
-		if x.rngs[i].Float64()*total < r.ListenToTransmit {
+		if x.rngs[i].Float64()*total < toTransmit {
 			x.startTransmission(i)
 		} else {
 			x.flushBurst(i)
@@ -738,6 +771,8 @@ func (x *dispCtx) handleTransition(i int) {
 	}
 }
 
+// onListenSetChanged resamples the non-capture listen->transmit rates of
+// node i's listening neighbors, whose estimates just changed.
 func (x *dispCtx) onListenSetChanged(i int) {
 	if x.cfg.Protocol.Variant != econcast.NonCapture {
 		return
@@ -749,6 +784,8 @@ func (x *dispCtx) onListenSetChanged(i int) {
 	}
 }
 
+// startTransmission moves node i from listen to transmit, occupies the
+// channel for its neighbors, and begins the first packet of the hold.
 func (x *dispCtx) startTransmission(i int) {
 	if x.hot[i].busy != 0 {
 		// Carrier sensing (the A(t) gate) must make this unreachable.
@@ -761,11 +798,10 @@ func (x *dispCtx) startTransmission(i int) {
 	// Occupy the channel: each neighbor gains one transmitting neighbor.
 	// Hidden-terminal collisions ride the same pass: a neighbor j sitting
 	// in any in-flight packet's listener list (listeningTo[j] > 0) now
-	// hears two transmitters, so its reception is collided. Marking the
-	// node rather than the (packet, node) pair matches the engine's
-	// global scan — collidedInPkt is per-node there too — and the
-	// listeningTo inversion makes the check one counter load instead of
-	// walking every nearby packet's listeners.
+	// hears two transmitters, so its reception is collided. The collision
+	// mark is per node, not per (packet, node) pair, and the listeningTo
+	// inversion makes the check one counter load instead of a walk over
+	// every nearby packet's listeners.
 	for _, j := range x.nbr[i] {
 		h := &x.hot[j]
 		h.busy++
@@ -783,6 +819,11 @@ func (x *dispCtx) startTransmission(i int) {
 	x.startPacket(i, 0, false)
 }
 
+// startPacket begins one unit packet from transmitter i. burstLen counts
+// packets already sent in this hold and delivered whether any earlier
+// packet of the hold was received. The listener set is every neighbor
+// currently listening; a listener with more than one transmitting
+// neighbor is collided from the start.
 func (x *dispCtx) startPacket(i int, burstLen int32, delivered bool) {
 	hi := &x.hot[i]
 	hi.set(fPktActive)
@@ -808,14 +849,17 @@ func (x *dispCtx) startPacket(i int, burstLen int32, delivered bool) {
 	x.push(event{at: x.now + x.packetTime, kind: evPacketEnd, node: i})
 }
 
+// handlePacketEnd completes transmitter i's current packet: deliver
+// receptions, re-estimate listeners, and continue or release the channel.
 func (x *dispCtx) handlePacketEnd(i int) {
 	hi := &x.hot[i]
 	if !hi.has(fPktActive) || hi.state != model.Transmit {
 		return
 	}
-	// A stuck (silenced) radio transmits carrier but delivers nothing;
-	// receiver-side loss draws are skipped for silenced packets (see the
-	// engine's handler).
+	// A stuck (silenced) radio transmits carrier — neighbors still defer —
+	// but delivers nothing. Receiver-side loss draws are skipped entirely
+	// for silenced packets: no reception was attempted, so the loss
+	// streams advance only on real attempts and stay reproducible.
 	silenced := x.flt.Silenced(i, x.now)
 	success := 0
 	for _, j := range x.pktListeners[i] {
@@ -911,10 +955,15 @@ func (x *dispCtx) handlePacketEnd(i int) {
 	x.onListenSetChanged(i)
 }
 
+// flushBurst closes node i's receive burst (used by the latency metric;
+// burst-length samples themselves are recorded per channel hold).
 func (x *dispCtx) flushBurst(i int) {
 	x.hot[i].burstCount = 0
 }
 
+// handleTick advances energy bookkeeping (forcing the eq. 17 update to
+// land exactly on the tau boundary) and resamples the node's transition,
+// since its rates depend on the refreshed multiplier.
 func (x *dispCtx) handleTick(i int, tau float64) {
 	x.accrue(i)
 	// Departure: an absent node abandons listening (transmitters finish
@@ -937,6 +986,10 @@ func (x *dispCtx) handleTick(i int, tau float64) {
 	x.push(event{at: x.now + tau, kind: evTick, node: i})
 }
 
+// handleFault realizes one fault-schedule boundary for node i: a crash
+// edge parks the node (releasing the channel mid-hold if it was
+// transmitting), while a restart or a brownout/silence edge simply
+// resamples its transition so the new regime takes effect immediately.
 func (x *dispCtx) handleFault(i int) {
 	x.accrue(i)
 	if x.flt.Alive(i, x.now) {
@@ -982,7 +1035,7 @@ func (x *dispCtx) handleFault(i int) {
 // dispatcher fold by exact integer addition (and latency buffers by
 // sorted-CDF sealing), per-node accumulations fold in ascending node
 // order — so the result is independent of which dispatcher executed
-// which event, and bit-identical to engine.finish.
+// which event.
 func (c *coordinator) finish(ctxs ...*dispCtx) *Metrics {
 	var latency []float64
 	for _, x := range ctxs {

@@ -6,6 +6,7 @@ import (
 	"econcast/internal/econcast"
 	"econcast/internal/faults"
 	"econcast/internal/model"
+	"econcast/internal/topology"
 )
 
 // TestFaultKillHalf crashes half the clique mid-run: the run must
@@ -227,7 +228,8 @@ func TestFaultInvalidConfigRejected(t *testing.T) {
 // allocation-free even while loss draws and alive checks run per event.
 func TestFaultStressEventLoopAllocs(t *testing.T) {
 	cfg := Config{
-		Network: model.Homogeneous(8, 10*model.MicroWatt, 500*model.MicroWatt, 500*model.MicroWatt),
+		Network:  model.Homogeneous(8, 10*model.MicroWatt, 500*model.MicroWatt, 500*model.MicroWatt),
+		Topology: topology.Clique(8),
 		Protocol: Protocol{
 			Mode: model.Groupput, Variant: econcast.Capture, Sigma: 0.5, Delta: 0.1,
 		},
@@ -245,22 +247,9 @@ func TestFaultStressEventLoopAllocs(t *testing.T) {
 			Drift: &faults.Drift{Max: 0.01},
 		},
 	}
-	if err := cfg.validate(); err != nil {
-		t.Fatal(err)
-	}
-	flt, err := faults.Compile(cfg.Faults, cfg.Network.N(), cfg.Duration, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(cfg, flt)
-	e.start()
-	for i := 0; i < 200_000; i++ {
-		if !e.step() {
-			t.Fatal("queue drained during warm-up")
-		}
-	}
+	c := warmCoordinator(t, cfg, 1)
 	avg := testing.AllocsPerRun(50_000, func() {
-		if !e.step() {
+		if !c.step() {
 			t.Fatal("queue drained")
 		}
 	})

@@ -19,8 +19,8 @@ import (
 // force Parallel: 4 (auto would pick the serial coordinator), so with
 // GOMAXPROCS above 1 (the CI smoke sets 4) the window workers run
 // concurrently and the barrier protocol is raced at real scale. The
-// first cell is re-run through the forced-serial single-queue path and
-// compared for deep equality — the multi-core smoke double-checks the
+// first cell is re-run serially on one coordinator shard and compared
+// for deep equality — the multi-core smoke double-checks the
 // byte-identity contract at scale. At this N it is far too heavy for
 // the ordinary `go test ./...` pass, so it only runs when CI asks for
 // it via ECONCAST_LARGE_N_SMOKE=1.
@@ -65,6 +65,6 @@ func TestLargeNSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(metrics[0], want) {
-		t.Errorf("100k cell 1 diverged from the single-queue engine:\n  want %+v\n  got  %+v", want, metrics[0])
+		t.Errorf("100k cell 1 diverged from the one-shard serial run:\n  want %+v\n  got  %+v", want, metrics[0])
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 // assertParallelIdentity is the core contract check of the parallel
 // engine: for every forced worker count, at GOMAXPROCS 1, 4, and 16,
-// the metrics must be deeply equal to the single-queue engine's — not
+// the metrics must be deeply equal to a one-shard serial run's — not
 // statistically close, the same values. (The event log is a serial-only
 // hook, so unlike the shard tests the comparison vehicle is the full
 // Metrics struct, whose latency CDF seals the per-delivery samples.)
@@ -40,7 +40,7 @@ func assertParallelIdentity(t *testing.T, cfg Config, workerCounts []int) {
 				t.Fatalf("GOMAXPROCS=%d workers=%d: %v", gm, w, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("GOMAXPROCS=%d workers=%d: metrics diverged from single-queue engine:\n  want %+v\n  got  %+v",
+				t.Fatalf("GOMAXPROCS=%d workers=%d: metrics diverged from the one-shard serial run:\n  want %+v\n  got  %+v",
 					gm, w, want, got)
 			}
 		}
@@ -125,7 +125,7 @@ func TestParallelIdentityTargetedCrash(t *testing.T) {
 // TestParallelAutoMatchesForced pins the auto path end to end: at
 // GOMAXPROCS 4 a hook-free 4096-node run leaves auto on the serial
 // sharded coordinator, and a forced 4-worker window-parallel run of the
-// same config still matches the single-queue engine.
+// same config still matches a one-shard serial run.
 func TestParallelAutoMatchesForced(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -155,7 +155,7 @@ func TestParallelAutoMatchesForced(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("forced 4-worker parallel run diverged from single-queue engine")
+		t.Fatal("forced 4-worker parallel run diverged from the one-shard serial run")
 	}
 }
 

@@ -110,9 +110,10 @@ func BenchmarkScaleGridParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkScaleGridUnsharded is the single-queue baseline for the
-// sharded-vs-unsharded scale table (one replicate; 100k is omitted —
-// the O(N) collision scan makes it minutes per run, which is the point).
+// BenchmarkScaleGridUnsharded times one coordinator shard (Shards: 1)
+// against the sharded rows of the scale table (one replicate; 100k is
+// omitted to keep the pass short). With the O(degree) collision check
+// the remaining difference is heap depth and cache residency.
 func BenchmarkScaleGridUnsharded(b *testing.B) {
 	for _, sc := range scaleBenchCases()[:2] {
 		b.Run(sc.label, func(b *testing.B) {

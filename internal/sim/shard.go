@@ -62,22 +62,36 @@ func keyLess(aAt float64, aSeq uint64, bAt float64, bSeq uint64) bool {
 //
 //lint:handoff sim-engine run is the drain boundary: it executes on the coordinator's event-loop goroutine and writes the batch-control scalars (current, crossed, done) back into the coordinator
 func (s *shardRuntime) run(c *coordinator, boundAt float64, boundSeq uint64) {
+	c.current = s.id
+	c.crossed = false
 	dispatched := 0
 	for {
-		at, seq, ok := s.headKey()
-		if !ok {
-			return
+		var ev event
+		if len(s.iq) == 0 {
+			// Serial runs never fill iq: pop the one heap directly.
+			if len(s.queue) == 0 {
+				return
+			}
+			h := &s.queue[0]
+			if dispatched > 0 && !keyLess(h.at, h.seq, boundAt, boundSeq) {
+				return
+			}
+			if h.at > c.horizon {
+				c.done = true
+				return
+			}
+			ev = s.queue.pop()
+		} else {
+			at, seq, _ := s.headKey()
+			if dispatched > 0 && !keyLess(at, seq, boundAt, boundSeq) {
+				return
+			}
+			if at > c.horizon {
+				c.done = true
+				return
+			}
+			ev = s.popMin()
 		}
-		if dispatched > 0 && !keyLess(at, seq, boundAt, boundSeq) {
-			return
-		}
-		if at > c.horizon {
-			c.done = true
-			return
-		}
-		ev := s.popMin()
-		c.crossed = false
-		c.current = s.id
 		c.ctx.dispatch(ev)
 		dispatched++
 		if c.crossed {

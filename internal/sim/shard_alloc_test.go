@@ -9,11 +9,9 @@ import (
 )
 
 // steadyCoordinator builds a sharded engine on a 32x32 grid (16 shards
-// of 8x8 blocks) and pumps it past its transient, so queue capacities,
-// listener slots, and interferer sets are all at their high-water marks
-// and subsequent events exercise pure steady state. The batch limit is
-// set to one so each step drives exactly one event through the full
-// coordinator path: shard pick, lookahead bound, dispatch, heap repair.
+// of 8x8 blocks), warmed to steady state one event per step (see
+// warmCoordinator), so subsequent events exercise the full coordinator
+// path across shard boundaries.
 func steadyCoordinator(tb testing.TB) *coordinator {
 	tb.Helper()
 	n := 32 * 32
@@ -29,24 +27,13 @@ func steadyCoordinator(tb testing.TB) *coordinator {
 		FreezeEta: true,
 		Shards:    16,
 	}
-	if err := cfg.validate(); err != nil {
-		tb.Fatal(err)
-	}
-	c := newCoordinator(cfg, nil, 16)
-	c.batchLimit = 1
-	c.start()
-	for i := 0; i < 200_000; i++ {
-		if !c.step() {
-			tb.Fatal("queues drained during warm-up")
-		}
-	}
-	return c
+	return warmCoordinator(tb, cfg, 16)
 }
 
 // BenchmarkShardEventLoop measures one event through the sharded
 // engine's hot path, including the coordinator's top-heap maintenance.
 // The acceptance bar under -benchmem is 0 allocs/op, same as the
-// single-queue loop.
+// one-shard clique loop.
 func BenchmarkShardEventLoop(b *testing.B) {
 	c := steadyCoordinator(b)
 	b.ReportAllocs()
@@ -59,7 +46,7 @@ func BenchmarkShardEventLoop(b *testing.B) {
 }
 
 // TestShardEventLoopSteadyStateAllocs pins the sharded loop's
-// allocation-free steady state (tolerance as in the single-queue pin:
+// allocation-free steady state (tolerance as in the one-shard pin:
 // rare amortized high-water-mark growth only).
 func TestShardEventLoopSteadyStateAllocs(t *testing.T) {
 	c := steadyCoordinator(t)

@@ -29,8 +29,10 @@ func runLogged(t *testing.T, cfg Config) (*Metrics, string) {
 
 // assertShardEquivalence is the core contract check of the sharded
 // engine: for every requested shard count, the full event trace must be
-// byte-identical to the single-queue engine's and the metrics must be
-// deeply equal — not statistically close, the same bytes.
+// byte-identical to the reference run's on one shard (Shards: 1) and the
+// metrics must be deeply equal — not statistically close, the same
+// bytes. The one-shard run is itself pinned to the former single-queue
+// engine's output on cliques by TestCliqueGolden.
 func assertShardEquivalence(t *testing.T, cfg Config, shardCounts []int) {
 	t.Helper()
 	cfg.Shards = 1
@@ -40,7 +42,7 @@ func assertShardEquivalence(t *testing.T, cfg Config, shardCounts []int) {
 		gotM, gotLog := runLogged(t, cfg)
 		if gotLog != wantLog {
 			d := firstDiff(wantLog, gotLog)
-			t.Fatalf("shards=%d: event trace diverged from single-queue engine at byte %d:\n  want ...%q\n  got  ...%q",
+			t.Fatalf("shards=%d: event trace diverged from the one-shard run at byte %d:\n  want ...%q\n  got  ...%q",
 				k, d, clip(wantLog, d), clip(gotLog, d))
 		}
 		if !reflect.DeepEqual(gotM, wantM) {
@@ -299,8 +301,8 @@ func TestShardPlan(t *testing.T) {
 	}{
 		{mk(nil, 0), 1},                       // clique (nil topology): never sharded
 		{mk(topology.Clique(200), 8), 1},      // explicit clique: never sharded
-		{mk(topology.Grid(10, 10), 0), 1},     // small: auto stays single-queue
-		{mk(topology.Grid(10, 10), 1), 1},     // forced single-queue
+		{mk(topology.Grid(10, 10), 0), 1},     // small: auto stays on one shard
+		{mk(topology.Grid(10, 10), 1), 1},     // forced one shard
 		{mk(topology.Grid(10, 10), 4), 4},     // forced shard count
 		{mk(topology.Grid(10, 10), 500), 100}, // clamped to n
 		{mk(topology.Grid(80, 80), 0), 6},     // auto: 6400/1024
@@ -314,7 +316,7 @@ func TestShardPlan(t *testing.T) {
 }
 
 // TestShardAutoMatchesForced pins that the auto-selected shard count is
-// itself equivalent to the single-queue engine on a just-over-threshold
+// itself equivalent to a one-shard run on a just-over-threshold
 // topology (a short horizon keeps this cheap at 4096 nodes).
 func TestShardAutoMatchesForced(t *testing.T) {
 	n := 64 * 64
@@ -340,7 +342,7 @@ func TestShardAutoMatchesForced(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("auto-sharded run diverged from single-queue engine")
+		t.Fatal("auto-sharded run diverged from the one-shard run")
 	}
 }
 
@@ -380,32 +382,41 @@ func TestListeningToBalances(t *testing.T) {
 		}
 		return inFlight
 	}
+	faulty := &faults.Config{
+		Crash:   &faults.Crash{MeanUp: 40, MeanDown: 10},
+		Loss:    &faults.Loss{P: 0.1},
+		Silence: &faults.Silence{MeanEvery: 80, MeanFor: 5},
+	}
 	for _, tc := range []struct {
 		name   string
+		topo   *topology.Topology // nil keeps gridCfg's 6x6 grid
+		shards int
 		faults *faults.Config
 	}{
-		{"fault-free", nil},
-		{"faults", &faults.Config{
-			Crash:   &faults.Crash{MeanUp: 40, MeanDown: 10},
-			Loss:    &faults.Loss{P: 0.1},
-			Silence: &faults.Silence{MeanEvery: 80, MeanFor: 5},
-		}},
+		{"fault-free", nil, 4, nil},
+		{"faults", nil, 4, faulty},
+		{"clique", topology.Clique(36), 1, faulty},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := gridCfg(17)
+			if tc.topo != nil {
+				cfg.Topology = tc.topo
+			}
 			cfg.Faults = tc.faults
 			flt, err := faults.Compile(cfg.Faults, cfg.Network.N(), cfg.Duration, cfg.Seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := newCoordinator(cfg, flt, 4)
+			c := newCoordinator(cfg, flt, tc.shards)
+			c.batchLimit = 1 // one event per step, so check runs between any two
+			c.start()
 			busy := 0
-			c.onDispatch = func(event) {
+			for c.step() {
 				if check(t, c) > 0 {
 					busy++
 				}
 			}
-			c.run()
+			c.drain()
 			check(t, c)
 			if busy == 0 {
 				t.Fatal("no packet was ever in flight; the check is vacuous")

@@ -34,8 +34,12 @@ func TestValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Network = nil },
 		func(c *Config) { c.Duration = 0 },
+		func(c *Config) { c.Duration = math.Inf(1) },
+		func(c *Config) { c.Duration = math.NaN() },
 		func(c *Config) { c.Warmup = c.Duration },
 		func(c *Config) { c.Warmup = -1 },
+		func(c *Config) { c.Warmup = math.NaN() },
+		func(c *Config) { c.Warmup = math.Inf(1) },
 		func(c *Config) { c.Protocol.Sigma = 0 },
 		func(c *Config) { c.WarmEta = []float64{1} },
 		func(c *Config) { c.Topology = topology.Clique(3) },
