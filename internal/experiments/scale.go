@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"econcast/internal/econcast"
@@ -154,63 +153,5 @@ func runScale(opts Options) ([]*Table, error) {
 			fmt.Sprintf("%.0f", evps), fmt.Sprintf("%.0f", 1e9*r.seconds/float64(r.events)),
 		})
 	}
-
-	// Multi-core rows: the same cells re-run through the window-parallel
-	// engine (DESIGN.md §9) with one worker per core. The deterministic
-	// outputs must match the serial rows exactly — checked here, live —
-	// so the speedup column is a pure execution-strategy comparison.
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2 // keep the window engine engaged on 1-core hosts
-	}
-	par, err := sweep.Map(opts.Workers, cases, func(ci int, sc scaleCase) (scaleResult, error) {
-		begin := time.Now() //lint:allow wallclock throughput is this experiment's measurement; no simulated quantity reads it
-		shards := sc.n / 1024
-		if shards < 2 {
-			shards = 2
-		}
-		topo := sc.build(rng.New(rng.DeriveSeed(opts.Seed, 71, uint64(ci), 1)))
-		m, err := sim.Run(sim.Config{
-			Network:  model.Homogeneous(sc.n, 60*model.MicroWatt, 500*model.MicroWatt, 500*model.MicroWatt),
-			Topology: topo,
-			Protocol: sim.Protocol{Mode: model.Groupput, Variant: econcast.Capture, Sigma: 0.5, Delta: 0.1},
-			Duration: sc.duration,
-			Warmup:   sc.warmup,
-			Seed:     rng.DeriveSeed(opts.Seed, 71, uint64(ci), 2),
-			Shards:   shards,
-			Parallel: workers,
-		})
-		if err != nil {
-			return scaleResult{}, err
-		}
-		return scaleResult{
-			shards:  shards,
-			events:  m.Events,
-			packets: m.PacketsSent,
-			group:   m.Groupput,
-			seconds: time.Since(begin).Seconds(), //lint:allow wallclock throughput is this experiment's measurement; no simulated quantity reads it
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	mc := &Table{
-		Name: fmt.Sprintf("Scale: window-parallel engine, %d workers (this machine, nondeterministic timing)", workers),
-		Notes: "deterministic outputs verified equal to the serial rows; " +
-			"speedup is wall-clock serial/parallel on this machine's cores",
-		Head: []string{"topology", "N", "parallel events/sec", "speedup"},
-	}
-	for i, sc := range cases {
-		s, p := results[i], par[i]
-		if p.events != s.events || p.packets != s.packets || p.group != s.group { //lint:allow floateq the parallel engine's contract is exact equality with the serial engine, not tolerance
-			return nil, fmt.Errorf("scale: parallel engine diverged from serial on %s (events %d vs %d)",
-				sc.name, p.events, s.events)
-		}
-		mc.Rows = append(mc.Rows, []string{
-			sc.name, fmt.Sprint(sc.n),
-			fmt.Sprintf("%.0f", float64(p.events)/p.seconds),
-			fmt.Sprintf("%.2fx", s.seconds/p.seconds),
-		})
-	}
-	return []*Table{det, perf, mc}, nil
+	return []*Table{det, perf}, nil
 }

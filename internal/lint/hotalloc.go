@@ -33,14 +33,6 @@ var hotEntries = map[string][]hotEntry{
 		// from which dispatch and every handler are reachable.
 		{recv: "coordinator", method: "step"},
 		{recv: "shardRuntime", method: "run"},
-		// The parallel engine's per-window path: the worker loop and the
-		// shard window drain it calls run once per window (thousands of
-		// times per second across the pool), and the barrier bookkeeping
-		// (boundary scan, order rebuild) runs once per window on the main
-		// goroutine — all must stay allocation-free in steady state.
-		{recv: "parCoordinator", method: "worker"},
-		{recv: "parCoordinator", method: "rebuildOrder"},
-		{recv: "shardRuntime", method: "window"},
 	},
 	"econcast/internal/asim": {
 		{recv: "broker", method: "loop"},

@@ -34,16 +34,6 @@ type shardflowConfig struct {
 	// controlScalars are coordinator fields a shard method may write only
 	// through a //lint:handoff boundary (the batch-control backchannel).
 	controlScalars map[string]bool
-
-	// The parallel window engine (rule 6). parType is the driver owning
-	// the worker pool; a send on workField dispatches a window to the
-	// workers, a receive on doneField collects one barrier ack, and
-	// rebuildMethod reconstructs the coordinator's order heap once the
-	// barrier is complete. Empty parType disables the rule.
-	parType       string
-	workField     string
-	doneField     string
-	rebuildMethod string
 }
 
 // shardflowConfigs keys engine descriptions by import path, mirroring
@@ -68,10 +58,6 @@ var shardflowConfigs = map[string]shardflowConfig{
 		controlScalars: map[string]bool{
 			"current": true, "crossed": true, "done": true,
 		},
-		parType:       "parCoordinator",
-		workField:     "work",
-		doneField:     "done",
-		rebuildMethod: "rebuildOrder",
 	},
 }
 
@@ -95,14 +81,6 @@ var shardflowConfigs = map[string]shardflowConfig{
 //     slice) must not be stored into shard-runtime fields: shards
 //     partition data, not control, and an alias would let a shard
 //     mutate heap state behind the prover's back.
-//  6. Window-barrier discipline on the parallel driver: every window
-//     dispatch (a send on the worker pool's work channel) must be
-//     followed on all paths by a barrier ack (a receive on the done
-//     channel) and then an order-heap rebuild before the function can
-//     exit, and no coordinator-owned state (SoA caches, control
-//     scalars) may be written between the dispatch and the rebuild —
-//     the window workers own the shard state until the barrier
-//     completes.
 var ShardFlow = &Analyzer{
 	Name: "shardflow",
 	Doc:  "prove the sharded engine's detach/eager-fix and ownership discipline on the CFG",
@@ -126,8 +104,6 @@ func runShardFlow(p *Pass) {
 				sf.checkCoordMethod(fd)
 			case cfg.shardType:
 				sf.checkShardMethod(fd)
-			case cfg.parType:
-				sf.checkWindowBarrier(fd)
 			}
 			sf.checkAliasing(fd)
 		}
@@ -423,193 +399,6 @@ func (sf *shardflowPass) checkShardMethod(fd *ast.FuncDecl) {
 		}
 		return true
 	})
-}
-
-// checkWindowBarrier enforces rule 6 on one parallel-driver method: walk
-// the CFG forward from every window dispatch (send on the work channel)
-// through a two-stage obligation — first a barrier ack (receive on the
-// done channel), then the order-heap rebuild. Reaching the function exit
-// with the obligation open is a missing barrier; writing coordinator-
-// owned state while it is open races the window workers.
-func (sf *shardflowPass) checkWindowBarrier(fd *ast.FuncDecl) {
-	if sf.cfg.parType == "" || fd.Recv == nil {
-		return
-	}
-	var sends []*ast.SendStmt
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if s, ok := n.(*ast.SendStmt); ok && sf.isParChan(s.Chan, sf.cfg.workField) {
-			sends = append(sends, s)
-		}
-		return true
-	})
-	if len(sends) == 0 {
-		return
-	}
-	// Ack-drain loops (`for ... { <-p.done }`) discharge the barrier
-	// even on the CFG's zero-iteration edge: the worker pool always has
-	// at least one worker, so the loop body runs at runtime. A recv
-	// guarded by an if keeps no such guarantee and gets no credit.
-	barrierConds := make(map[ast.Expr]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if f, ok := n.(*ast.ForStmt); ok && f.Cond != nil && sf.hasDoneRecv(f.Body) {
-			barrierConds[f.Cond] = true
-		}
-		return true
-	})
-	g, _ := sf.graphFor(fd)
-	reported := make(map[token.Pos]bool)
-	for _, send := range sends {
-		sf.walkBarrier(g, send, barrierConds, reported)
-	}
-}
-
-// walkBarrier runs the two-stage DFS for one dispatch site. Stage 0
-// needs a done-receive, stage 1 needs the rebuild call; stage 2 is
-// discharged. Revisiting a block in the same stage terminates the path
-// (a loop that never discharges also never reaches the exit except
-// through its exit edge, which is walked separately).
-func (sf *shardflowPass) walkBarrier(g *flow.Graph, send *ast.SendStmt, barrierConds map[ast.Expr]bool, reported map[token.Pos]bool) {
-	startBlk, startIdx, ok := g.FindNode(send.Pos())
-	if !ok {
-		return
-	}
-	type key struct {
-		b     *flow.Block
-		stage int
-	}
-	visited := make(map[key]bool)
-	bad := false
-	var walk func(b *flow.Block, from, stage int)
-	walk = func(b *flow.Block, from, stage int) {
-		if bad {
-			return
-		}
-		for i := from; i < len(b.Nodes); i++ {
-			n := b.Nodes[i]
-			if stage == 0 && sf.hasDoneRecv(n) {
-				stage = 1
-				continue
-			}
-			if stage == 1 && sf.hasRebuildCall(n) {
-				return // discharged
-			}
-			if w := sf.ownedWrite(n); w != nil && !reported[w.Pos()] {
-				reported[w.Pos()] = true
-				sf.p.Reportf(w.Pos(), "coordinator-owned state written between the window dispatch and the barrier %s; the window workers own the shard state until every ack is drained and the order heap is rebuilt",
-					sf.cfg.rebuildMethod)
-			}
-		}
-		if b == g.Exit {
-			bad = true
-			return
-		}
-		if stage == 0 && b.Cond != nil && barrierConds[b.Cond] {
-			// Crossing an ack-drain loop header: the loop body runs at
-			// least once at runtime, so both edges leave with the acks
-			// drained.
-			stage = 1
-		}
-		k := key{b, stage}
-		if visited[k] {
-			return
-		}
-		visited[k] = true
-		for _, s := range b.Succs {
-			walk(s, 0, stage)
-		}
-	}
-	walk(startBlk, startIdx+1, 0)
-	if bad && !reported[send.Pos()] {
-		reported[send.Pos()] = true
-		sf.p.Reportf(send.Pos(), "window dispatch is not followed by the full barrier (drain %s, then %s) on every path to the exit; the next heap comparison would race the window workers",
-			sf.cfg.doneField, sf.cfg.rebuildMethod)
-	}
-}
-
-// isParChan matches `<parType value>.<field>` or `<parType value>.<field>[i]`.
-func (sf *shardflowPass) isParChan(e ast.Expr, field string) bool {
-	e = ast.Unparen(e)
-	if ix, ok := e.(*ast.IndexExpr); ok {
-		e = ast.Unparen(ix.X)
-	}
-	sel, ok := e.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == field && sf.typeName(sel.X) == sf.cfg.parType
-}
-
-// hasDoneRecv reports whether n contains a receive from the done channel.
-func (sf *shardflowPass) hasDoneRecv(n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		u, ok := m.(*ast.UnaryExpr)
-		if ok && u.Op == token.ARROW && sf.isParChan(u.X, sf.cfg.doneField) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// hasRebuildCall reports whether n contains a call to the rebuild method
-// on the parallel driver.
-func (sf *shardflowPass) hasRebuildCall(n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		c, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := c.Fun.(*ast.SelectorExpr)
-		if ok && sel.Sel.Name == sf.cfg.rebuildMethod && sf.typeName(sel.X) == sf.cfg.parType {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// ownedWrite returns the left-hand side of an assignment in n that
-// writes coordinator-owned state (an owned SoA slice element or a
-// batch-control scalar), nil when n writes none.
-func (sf *shardflowPass) ownedWrite(n ast.Node) ast.Expr {
-	var hit ast.Expr
-	check := func(lhs ast.Expr) {
-		if hit != nil {
-			return
-		}
-		lhs = ast.Unparen(lhs)
-		if ix, ok := lhs.(*ast.IndexExpr); ok {
-			if sel, ok := ast.Unparen(ix.X).(*ast.SelectorExpr); ok &&
-				sf.cfg.ownedSlices[sel.Sel.Name] && sf.typeName(sel.X) == sf.cfg.coordType {
-				hit = lhs
-			}
-			return
-		}
-		if sel, ok := lhs.(*ast.SelectorExpr); ok &&
-			sf.cfg.controlScalars[sel.Sel.Name] && sf.typeName(sel.X) == sf.cfg.coordType {
-			hit = lhs
-		}
-	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		if hit != nil {
-			return false
-		}
-		switch m := m.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range m.Lhs {
-				check(lhs)
-			}
-		case *ast.IncDecStmt:
-			check(m.X)
-		}
-		return true
-	})
-	return hit
 }
 
 // handoffLicensed reports whether fd carries a //lint:handoff directive

@@ -124,51 +124,3 @@ func (c *coordinator) drainPanic(s int32) {
 func (s *shardRuntime) head(c *coordinator) float64 {
 	return c.headAt[s.id]
 }
-
-// parCoordinator mirrors the real window-synchronized driver: a worker
-// pool fed by per-worker work channels and a shared done channel.
-type parCoordinator struct {
-	c    *coordinator
-	nw   int
-	work []chan int
-	done chan struct{}
-}
-
-func (p *parCoordinator) rebuildOrder() {}
-
-// window follows the barrier discipline exactly: dispatch to every
-// worker, drain every ack, rebuild the order heap — no coordinator
-// state is touched while the workers own the shards.
-func (p *parCoordinator) window(b int) {
-	for w := 0; w < p.nw; w++ {
-		p.work[w] <- b
-	}
-	for w := 0; w < p.nw; w++ {
-		<-p.done
-	}
-	p.rebuildOrder()
-}
-
-// run embeds the window in the real loop shape: serial steps interleave
-// with windows, and the horizon write happens outside any open window.
-func (p *parCoordinator) run(interior func() bool) {
-	c := p.c
-	for !c.done && len(c.order) > 0 {
-		if c.headAt[c.order[0]] > c.horizon {
-			c.done = true
-			break
-		}
-		if !interior() {
-			c.step()
-			continue
-		}
-		b := 1
-		for w := 0; w < p.nw; w++ {
-			p.work[w] <- b
-		}
-		for w := 0; w < p.nw; w++ {
-			<-p.done
-		}
-		p.rebuildOrder()
-	}
-}

@@ -111,48 +111,3 @@ func (c *coordinator) wire() {
 func (c *coordinator) mirror() shardRuntime {
 	return shardRuntime{cache: c.headAt} // want shardflow
 }
-
-// parCoordinator is the window-driver half of the fixture: each method
-// below violates one clause of the barrier discipline (rule 6).
-type parCoordinator struct {
-	c    *coordinator
-	nw   int
-	work []chan int
-	done chan struct{}
-}
-
-func (p *parCoordinator) rebuildOrder() {}
-
-// windowNoBarrier dispatches window work and rebuilds without ever
-// draining the acks: the workers may still own the shard state when the
-// order heap is rebuilt and compared.
-func (p *parCoordinator) windowNoBarrier(b int) {
-	for w := 0; w < p.nw; w++ {
-		p.work[w] <- b // want shardflow
-	}
-	p.rebuildOrder()
-}
-
-// windowWriteInside writes a coordinator-owned SoA cache between the
-// dispatch and the barrier, racing the window workers.
-func (p *parCoordinator) windowWriteInside(b int) {
-	for w := 0; w < p.nw; w++ {
-		p.work[w] <- b
-	}
-	p.c.headAt[0] = 0 // want shardflow
-	for w := 0; w < p.nw; w++ {
-		<-p.done
-	}
-	p.rebuildOrder()
-}
-
-// windowNoRebuild drains the barrier but never rebuilds the order heap:
-// the next comparison would run against stale head keys.
-func (p *parCoordinator) windowNoRebuild(b int) {
-	for w := 0; w < p.nw; w++ {
-		p.work[w] <- b // want shardflow
-	}
-	for w := 0; w < p.nw; w++ {
-		<-p.done
-	}
-}

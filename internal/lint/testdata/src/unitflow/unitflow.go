@@ -41,18 +41,14 @@ type event struct {
 
 type coordinator struct {
 	tau float64
+	now float64
 }
 
 func (c *coordinator) active(i int, t float64) bool { return t < c.tau }
 
-type dispCtx struct {
-	*coordinator
-	now float64
-}
-
 func window(m *Metrics) float64 { return m.Window }
 
-func bugs(e *dispCtx, p Protocol, c Config, m *Metrics) {
+func bugs(e *coordinator, p Protocol, c Config, m *Metrics) {
 	ticks := p.SecondsToTicks(c.Duration)
 
 	deadline := e.now + ticks // want unitflow

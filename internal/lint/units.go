@@ -181,9 +181,11 @@ var unitRegistry = map[string]string{
 	"econcast/internal/sim.coordinator.packetTime":         "s",
 	"econcast/internal/sim.coordinator.occLast":            "s",
 	"econcast/internal/sim.coordinator.active.t":           "s",
-	"econcast/internal/sim.dispCtx.now":                    "s",
-	"econcast/internal/sim.dispCtx.accrueOccupancy.until":  "s",
-	"econcast/internal/sim.dispCtx.handleTick.tau":         "s",
+
+	// sim: the dispatch clock and the time arguments of the handlers.
+	"econcast/internal/sim.coordinator.now":                   "s",
+	"econcast/internal/sim.coordinator.accrueOccupancy.until": "s",
+	"econcast/internal/sim.coordinator.handleTick.tau":        "s",
 
 	// statespace: analytical counterparts of the sim outputs.
 	"econcast/internal/statespace.P4Result.Throughput":          "pkt/s",

@@ -15,16 +15,6 @@
 // are byte-identical by construction — for any shard count, and at any
 // sweep worker count above it.
 //
-// The handler bodies live on dispCtx, a per-dispatcher view over the
-// shared SoA state: the serial coordinator drives a single dispCtx from
-// its event-loop goroutine, and the parallel engine (par.go) gives each
-// shard worker its own dispCtx over the same arrays, so both engines
-// execute literally the same handler code. Everything a handler mutates
-// is either owned by the event's node (SoA entries, per-node RNG
-// streams and metric accumulators) or private to the dispCtx (clock,
-// counters, latency buffer), which is what makes the parallel schedule
-// equivalent to this serial one — see DESIGN.md §9.
-//
 // The per-event cost is O(degree) regardless of N: instead of walking
 // every in-flight packet's listeners on each transmission start to find
 // hidden-terminal collisions, the coordinator inverts the listener
@@ -45,30 +35,26 @@ import (
 	"econcast/internal/topology"
 )
 
-// coordinator is the engine: SoA node state plus the shard scheduling
-// structures. In a serial run exactly one goroutine drives
-// it; in a parallel run (par.go) shard workers share the SoA arrays
-// under the window-synchronization protocol and the scheduling fields
-// (order/pos/current/crossed) stay idle.
+// coordinator is the engine: SoA node state, the shard scheduling
+// structures, and the dispatch clock and counters. One goroutine drives
+// it; the event handlers are its methods.
 //
 //lint:owner sim-engine the event-loop goroutine owns all coordinator state
 type coordinator struct {
 	cfg  Config
 	n    int
 	topo *topology.Topology
-	part *topology.Partition
 	flt  *faults.Set
 
 	tau     float64
 	horizon float64 // cfg.Duration, copied next to the other hot scalars
 	shift   uint    // node-id bit width of the event key
 
-	// split, when true, routes events at interior nodes (Depths > wdepth,
-	// marked fInterior) into each shard's separate interior heap so the
-	// parallel engine (par.go) can drain interior prefixes concurrently;
-	// a serial run leaves it false and uses one heap per shard.
-	split  bool
-	wdepth int
+	// The dispatch clock: the time and Lamport clock of the event being
+	// dispatched, and whether it falls inside the measurement window.
+	now        float64
+	curLamport uint64
+	measuring  bool
 
 	shards []shardRuntime
 
@@ -93,8 +79,7 @@ type coordinator struct {
 	// seed via rng.DeriveSeed); every draw is attributed to the node whose
 	// transition, packet decision, or estimate it realizes, so each
 	// stream's draw sequence is a function of that node's event history
-	// alone — identical at every shard count and in the parallel engine,
-	// which replays the same streams from a concurrent schedule.
+	// alone — identical at every shard count.
 	rngs []rng.Source
 
 	// hot is the cache-line-packed per-node state: one 64-byte record
@@ -133,21 +118,20 @@ type coordinator struct {
 
 	// Canonical per-node metric accumulation: throughput seconds and
 	// burst moments are attributed to the transmitter and folded in node
-	// order by finish, so the totals are independent of the dispatch
-	// schedule's interleaving across nodes — the property the parallel
-	// engine needs.
+	// order by finish, so the totals do not depend on how the dispatch
+	// schedule interleaves nodes.
 	gp            []float64
 	ap            []float64
 	bl            []stats.Accumulator
 	warmupBattery []float64
 
+	// met accumulates the integer counters in place during the run;
+	// finish fills in the rest. latency collects the receiver-attributed
+	// inter-burst samples, sealed into a sorted CDF by finish.
 	met        Metrics
+	latency    []float64
 	occStarted bool
 	occLast    float64
-
-	// ctx is the serial dispatcher; the parallel engine builds one
-	// dispCtx per shard worker instead and leaves this one to drain.
-	ctx dispCtx
 }
 
 // nodeHot packs one node's dispatch-path state into a single 64-byte
@@ -160,7 +144,7 @@ type nodeHot struct {
 	lastUpdate   float64
 	lastBurstEnd float64
 	// lamport is the node's logical clock for the canonical event order;
-	// see dispCtx.push for the key construction.
+	// see coordinator.push for the key construction.
 	lamport    uint64
 	version    uint32
 	busy       int32 // transmitting neighbors (carrier sense)
@@ -185,7 +169,6 @@ const (
 	fSleptSince
 	fCollidedInPkt
 	fWarmSnapped
-	fInterior     // deeper than wdepth: eligible for parallel window dispatch (par.go)
 	fPktActive    // the node's packet slot holds an in-flight packet
 	fPktDelivered // the slot's current hold reached at least one receiver
 )
@@ -201,38 +184,6 @@ func (h *nodeHot) put(f uint8, v bool) {
 	}
 }
 
-// dispCtx is one dispatcher's view over the coordinator's shared state:
-// the event clock, the measuring predicate, and the schedule-private
-// metric counters. A serial run has exactly one; the parallel engine
-// has one per shard worker. Handlers are methods on dispCtx so both
-// share their bodies; everything reached through the
-// embedded coordinator is either node-owned (safe under the parallel
-// window protocol) or immutable after construction.
-type dispCtx struct {
-	*coordinator
-
-	now        float64
-	curLamport uint64
-	measuring  bool
-
-	// par, when non-nil, routes pushes through the parallel engine's
-	// per-shard heaps and cross-shard staging lanes instead of the
-	// coordinator's indexed heap.
-	par *parShard
-
-	// Schedule-private integer counters; exact sums, folded by finish.
-	events           int
-	packetsSent      int
-	packetsDelivered int
-	packetsAny       int
-	collided         int
-	lostRx           int
-
-	// Latency samples are receiver-attributed and order-insensitive:
-	// finish concatenates all buffers and seals them into a sorted CDF.
-	latency []float64
-}
-
 func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 	n := cfg.Network.N()
 	c := &coordinator{
@@ -241,7 +192,6 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 		horizon:    cfg.Duration,
 		shift:      seqShift(n),
 		topo:       cfg.Topology,
-		part:       topology.NewPartition(cfg.Topology, shards),
 		flt:        flt,
 		logging:    cfg.EventLog != nil,
 		packetTime: model.DefaultIfZero(cfg.Protocol.PacketTime, 1e-3),
@@ -259,11 +209,11 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 		bl:            make([]stats.Accumulator, n),
 		warmupBattery: make([]float64, n),
 	}
-	c.ctx.coordinator = c
 	if cfg.TrackOccupancy {
 		c.met.Occupancy = make(map[model.NetState]float64)
 	}
-	ns := c.part.Shards()
+	part := topology.NewPartition(cfg.Topology, shards)
+	ns := part.Shards()
 	c.shards = make([]shardRuntime, ns)
 	for s := range c.shards {
 		c.shards[s].id = int32(s)
@@ -288,7 +238,7 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 		c.nbr[i] = nbrSlab[off : off+d : off+d]
 		c.pktListeners[i] = lstSlab[off : off : off+d]
 		off += d
-		c.hot[i].shardOf = int32(c.part.ShardOf(i))
+		c.hot[i].shardOf = int32(part.ShardOf(i))
 		c.rngs[i] = *rng.New(rng.DeriveSeed(cfg.Seed, rngNodeDomain, uint64(i)))
 	}
 	// Parameter blocks are immutable and comparable, so identical nodes
@@ -365,13 +315,12 @@ func (c *coordinator) run() {
 // events, so the fault-free hot path is untouched.
 func (c *coordinator) start() {
 	c.tau = c.params[0].Tau
-	x := &c.ctx
 	for i := 0; i < c.n; i++ {
-		x.scheduleTransition(i)
-		x.push(event{at: c.tau, kind: evTick, node: i})
+		c.scheduleTransition(i)
+		c.push(event{at: c.tau, kind: evTick, node: i})
 		node := i
 		c.flt.Boundaries(i, func(at float64) {
-			x.push(event{at: at, kind: evFault, node: node})
+			c.push(event{at: at, kind: evFault, node: node})
 		})
 	}
 	c.crossed = false
@@ -413,52 +362,46 @@ func (c *coordinator) step() bool {
 
 // drain performs the final energy (and occupancy) accrual to the horizon.
 func (c *coordinator) drain() {
-	x := &c.ctx
-	if c.cfg.TrackOccupancy && x.measuring {
-		x.accrueOccupancy(c.cfg.Duration)
+	if c.cfg.TrackOccupancy && c.measuring {
+		c.accrueOccupancy(c.cfg.Duration)
 	}
-	x.now = c.cfg.Duration
+	c.now = c.cfg.Duration
 	for i := 0; i < c.n; i++ {
-		x.accrue(i)
+		c.accrue(i)
 	}
 }
 
 // dispatch realizes one event; the drain loop has already checked it
 // against the horizon.
-func (x *dispCtx) dispatch(ev event) {
-	x.events++
-	if x.cfg.TrackOccupancy && x.measuring {
-		x.accrueOccupancy(ev.at)
+func (c *coordinator) dispatch(ev event) {
+	c.met.Events++
+	if c.cfg.TrackOccupancy && c.measuring {
+		c.accrueOccupancy(ev.at)
 	}
-	x.now = ev.at
-	x.curLamport = ev.seq >> x.shift
-	// Measuring is a pure per-event predicate, so it needs no global
-	// warmup rendezvous: in a parallel schedule each worker evaluates it
-	// against its own clock and per-node warmup splitting (see accrue)
-	// keeps the energy ledgers identical.
-	x.measuring = x.now >= x.cfg.Warmup
-	if x.cfg.TrackOccupancy && x.measuring && !x.occStarted {
-		x.occStarted = true
-		x.occLast = x.now
+	c.now = ev.at
+	c.curLamport = ev.seq >> c.shift
+	c.measuring = c.now >= c.cfg.Warmup
+	if c.cfg.TrackOccupancy && c.measuring && !c.occStarted {
+		c.occStarted = true
+		c.occLast = c.now
 	}
 	switch ev.kind {
 	case evTransition:
-		if uint32(ev.version) == x.hot[ev.node].version {
-			x.handleTransition(ev.node)
+		if uint32(ev.version) == c.hot[ev.node].version {
+			c.handleTransition(ev.node)
 		} // else stale: dropped
 	case evPacketEnd:
-		x.handlePacketEnd(ev.node)
+		c.handlePacketEnd(ev.node)
 	case evTick:
-		x.handleTick(ev.node, x.tau)
+		c.handleTick(ev.node, c.tau)
 	case evFault:
-		x.handleFault(ev.node)
+		c.handleFault(ev.node)
 	}
 }
 
-// push assigns the event its canonical content-derived key and routes
-// it: serially into its node's shard queue with an eager heap repair; in
-// a parallel run through the worker's local heap or a cross-shard
-// staging lane.
+// push assigns the event its canonical content-derived key and
+// enqueues it on its node's shard, repairing that shard's heap position
+// eagerly when it is not the one draining.
 //
 // The key is seq = l << shift | node, where l = max(lamport[node],
 // curLamport) + 1 and curLamport is the clock of the event being
@@ -467,29 +410,17 @@ func (x *dispCtx) dispatch(ev event) {
 // because the key is derived from event content rather than from a
 // global push counter — the key of every event is independent of the
 // dispatch schedule that produced it. See DESIGN.md §9.
-func (x *dispCtx) push(ev event) {
-	h := &x.hot[ev.node]
+func (c *coordinator) push(ev event) {
+	h := &c.hot[ev.node]
 	l := h.lamport
-	if x.curLamport > l {
-		l = x.curLamport
+	if c.curLamport > l {
+		l = c.curLamport
 	}
 	l++
 	h.lamport = l
-	ev.seq = l<<x.shift | uint64(ev.node)
-	if x.par != nil {
-		// Window execution: an interior event's push targets are always in
-		// its own shard (wdepth >= push radius), so no heap repair and no
-		// cross-shard traffic happen here — see DESIGN.md §9.
-		x.par.route(ev)
-		return
-	}
-	c := x.coordinator
+	ev.seq = l<<c.shift | uint64(ev.node)
 	s := h.shardOf
-	if c.split && h.has(fInterior) {
-		c.shards[s].iq.push(ev)
-	} else {
-		c.shards[s].queue.push(ev)
-	}
+	c.shards[s].queue.push(ev)
 	if s != c.current {
 		c.crossed = true
 		c.fix(s)
@@ -587,25 +518,24 @@ func (c *coordinator) siftDown(i int) {
 // Multiplier boundaries are also forced by evTick events, so eta changes
 // land exactly on tau multiples regardless of event spacing.
 
-func (x *dispCtx) accrue(i int) {
-	h := &x.hot[i]
-	if !h.has(fWarmSnapped) && x.now >= x.cfg.Warmup {
+func (c *coordinator) accrue(i int) {
+	h := &c.hot[i]
+	if !h.has(fWarmSnapped) && c.now >= c.cfg.Warmup {
 		// First accrual at or past the warmup boundary: advance exactly to
 		// the boundary, snapshot the battery for the Power metric, and
 		// continue from there. The split point is per-node and depends only
 		// on the node's own accrual history, so batteries come out
-		// bit-identical in every schedule — including the parallel one,
-		// where no single event marks a global warmup crossing.
-		if dt := x.cfg.Warmup - h.lastUpdate; dt > 0 {
-			x.cores[i].Advance(x.pr(i), x.harvest[i], dt, h.state)
+		// bit-identical at every shard count.
+		if dt := c.cfg.Warmup - h.lastUpdate; dt > 0 {
+			c.cores[i].Advance(c.pr(i), c.harvest[i], dt, h.state)
 		}
-		h.lastUpdate = x.cfg.Warmup
-		x.warmupBattery[i] = x.cores[i].Battery
+		h.lastUpdate = c.cfg.Warmup
+		c.warmupBattery[i] = c.cores[i].Battery
 		h.set(fWarmSnapped)
 	}
-	if dt := x.now - h.lastUpdate; dt > 0 {
-		x.cores[i].Advance(x.pr(i), x.harvest[i], dt, h.state)
-		h.lastUpdate = x.now
+	if dt := c.now - h.lastUpdate; dt > 0 {
+		c.cores[i].Advance(c.pr(i), c.harvest[i], dt, h.state)
+		h.lastUpdate = c.now
 	}
 }
 
@@ -639,29 +569,29 @@ func (c *coordinator) currentNetState() model.NetState {
 // accrueOccupancy charges the interval since the last accrual to the
 // current network state. Called before any event mutates node states, so
 // the charged state is the one that actually held over the interval.
-func (x *dispCtx) accrueOccupancy(until float64) {
-	if until > x.cfg.Duration {
-		until = x.cfg.Duration
+func (c *coordinator) accrueOccupancy(until float64) {
+	if until > c.cfg.Duration {
+		until = c.cfg.Duration
 	}
-	dt := until - x.occLast
+	dt := until - c.occLast
 	if dt <= 0 {
 		return
 	}
-	x.met.Occupancy[x.currentNetState()] += dt
-	x.coordinator.occLast = until
+	c.met.Occupancy[c.currentNetState()] += dt
+	c.occLast = until
 }
 
 // setState switches node i's recorded state after accruing energy.
-func (x *dispCtx) setState(i int, st model.State) {
-	x.accrue(i)
-	if x.logging {
-		x.logf("%.6f node %d: %v -> %v", x.now, i, x.hot[i].state, st) //lint:allow hotalloc trace logging; x.logging is off in measured runs
+func (c *coordinator) setState(i int, st model.State) {
+	c.accrue(i)
+	if c.logging {
+		c.logf("%.6f node %d: %v -> %v", c.now, i, c.hot[i].state, st) //lint:allow hotalloc trace logging; c.logging is off in measured runs
 	}
-	x.hot[i].state = st
+	c.hot[i].state = st
 }
 
 // logf writes one trace line. Callers on the hot path must gate the call
-// on x.logging themselves: building the variadic argument list boxes
+// on c.logging themselves: building the variadic argument list boxes
 // every operand, which would allocate per event even with no log sink.
 func (c *coordinator) logf(format string, args ...any) {
 	if c.cfg.EventLog != nil {
@@ -671,69 +601,69 @@ func (c *coordinator) logf(format string, args ...any) {
 
 // estimateFor returns the transmitter-side listener estimate for count
 // successful receivers, applying the configured noise hook.
-func (x *dispCtx) estimateFor(i, count int) float64 {
-	if x.cfg.EstimateListeners != nil {
-		count = x.cfg.EstimateListeners(count, &x.rngs[i])
+func (c *coordinator) estimateFor(i, count int) float64 {
+	if c.cfg.EstimateListeners != nil {
+		count = c.cfg.EstimateListeners(count, &c.rngs[i])
 		if count < 0 {
 			count = 0
 		}
 	}
-	return x.pr(i).Estimate(count)
+	return c.pr(i).Estimate(count)
 }
 
 // listenEstimate is the continuous listener estimate used by the
 // non-capture variant's listen->transmit rate: the number of other
 // listening neighbors (whose pings the node hears).
-func (x *dispCtx) listenEstimate(i int) float64 {
+func (c *coordinator) listenEstimate(i int) float64 {
 	count := 0
-	for _, j := range x.nbr[i] {
-		if x.hot[j].state == model.Listen {
+	for _, j := range c.nbr[i] {
+		if c.hot[j].state == model.Listen {
 			count++
 		}
 	}
-	return x.estimateFor(i, count)
+	return c.estimateFor(i, count)
 }
 
 // scheduleTransition samples node i's next state transition from its
 // current rates and pushes it. Transmitting nodes are packet-driven and
 // get no timer.
-func (x *dispCtx) scheduleTransition(i int) {
-	x.bump(i)
-	h := &x.hot[i]
+func (c *coordinator) scheduleTransition(i int) {
+	c.bump(i)
+	h := &c.hot[i]
 	if h.state == model.Transmit {
 		return
 	}
-	if x.cfg.HardBatteryFloor && h.state == model.Sleep && x.cores[i].Depleted() {
+	if c.cfg.HardBatteryFloor && h.state == model.Sleep && c.cores[i].Depleted() {
 		return // stays asleep until a tick finds the battery recovered
 	}
-	if !x.active(i, x.now) {
+	if !c.active(i, c.now) {
 		return // absent or crashed: re-checked at the next tick / restart
 	}
 	carrierFree := h.busy == 0
 	est := 0.0
-	if x.cfg.Protocol.Variant == econcast.NonCapture && h.state == model.Listen {
-		est = x.listenEstimate(i)
+	if c.cfg.Protocol.Variant == econcast.NonCapture && h.state == model.Listen {
+		est = c.listenEstimate(i)
 	}
 	var total float64
 	switch h.state {
 	case model.Sleep:
-		total = x.cores[i].SleepToListen(x.pr(i), carrierFree)
+		total = c.cores[i].SleepToListen(c.pr(i), carrierFree)
 	case model.Listen:
-		toSleep, toTransmit := x.cores[i].ListenRates(x.pr(i), carrierFree, est)
+		toSleep, toTransmit := c.cores[i].ListenRates(c.pr(i), carrierFree, est)
 		total = toSleep + toTransmit
 	}
 	if total <= 0 {
 		return
 	}
-	dwell := x.rngs[i].Exp(total)
+	dwell := c.rngs[i].Exp(total)
 	if h.state == model.Sleep {
 		// Sleep intervals are timed by the node's low-power clock, which
 		// the drift fault scales; listen/transmit timing runs off the
 		// (accurate) active-mode clock, as on the testbed hardware.
-		dwell *= x.flt.Drift(i)
+		dwell *= c.flt.Drift(i)
 	}
-	x.push(event{
-		at:      x.now + dwell,
+	c.push(event{
+		at:      c.now + dwell,
 		kind:    evTransition,
 		node:    i,
 		version: uint64(h.version),
@@ -741,60 +671,60 @@ func (x *dispCtx) scheduleTransition(i int) {
 }
 
 // handleTransition fires node i's sampled transition.
-func (x *dispCtx) handleTransition(i int) {
-	x.accrue(i)
-	switch x.hot[i].state {
+func (c *coordinator) handleTransition(i int) {
+	c.accrue(i)
+	switch c.hot[i].state {
 	case model.Sleep:
-		x.setState(i, model.Listen)
-		x.onListenSetChanged(i)
-		x.scheduleTransition(i)
+		c.setState(i, model.Listen)
+		c.onListenSetChanged(i)
+		c.scheduleTransition(i)
 	case model.Listen:
-		carrierFree := x.hot[i].busy == 0
+		carrierFree := c.hot[i].busy == 0
 		est := 0.0
-		if x.cfg.Protocol.Variant == econcast.NonCapture {
-			est = x.listenEstimate(i)
+		if c.cfg.Protocol.Variant == econcast.NonCapture {
+			est = c.listenEstimate(i)
 		}
-		toSleep, toTransmit := x.cores[i].ListenRates(x.pr(i), carrierFree, est)
+		toSleep, toTransmit := c.cores[i].ListenRates(c.pr(i), carrierFree, est)
 		total := toSleep + toTransmit
 		if total <= 0 {
 			return
 		}
-		if x.rngs[i].Float64()*total < toTransmit {
-			x.startTransmission(i)
+		if c.rngs[i].Float64()*total < toTransmit {
+			c.startTransmission(i)
 		} else {
-			x.flushBurst(i)
-			x.setState(i, model.Sleep)
-			x.hot[i].set(fSleptSince)
-			x.onListenSetChanged(i)
-			x.scheduleTransition(i)
+			c.flushBurst(i)
+			c.setState(i, model.Sleep)
+			c.hot[i].set(fSleptSince)
+			c.onListenSetChanged(i)
+			c.scheduleTransition(i)
 		}
 	}
 }
 
 // onListenSetChanged resamples the non-capture listen->transmit rates of
 // node i's listening neighbors, whose estimates just changed.
-func (x *dispCtx) onListenSetChanged(i int) {
-	if x.cfg.Protocol.Variant != econcast.NonCapture {
+func (c *coordinator) onListenSetChanged(i int) {
+	if c.cfg.Protocol.Variant != econcast.NonCapture {
 		return
 	}
-	for _, j := range x.nbr[i] {
-		if x.hot[j].state == model.Listen {
-			x.scheduleTransition(j)
+	for _, j := range c.nbr[i] {
+		if c.hot[j].state == model.Listen {
+			c.scheduleTransition(j)
 		}
 	}
 }
 
 // startTransmission moves node i from listen to transmit, occupies the
 // channel for its neighbors, and begins the first packet of the hold.
-func (x *dispCtx) startTransmission(i int) {
-	if x.hot[i].busy != 0 {
+func (c *coordinator) startTransmission(i int) {
+	if c.hot[i].busy != 0 {
 		// Carrier sensing (the A(t) gate) must make this unreachable.
 		panic(fmt.Sprintf("sim: node %d transmitting into a busy channel", i))
 	}
-	x.flushBurst(i)
-	x.setState(i, model.Transmit)
-	x.bump(i) // no timer while transmitting
-	x.onListenSetChanged(i)
+	c.flushBurst(i)
+	c.setState(i, model.Transmit)
+	c.bump(i) // no timer while transmitting
+	c.onListenSetChanged(i)
 	// Occupy the channel: each neighbor gains one transmitting neighbor.
 	// Hidden-terminal collisions ride the same pass: a neighbor j sitting
 	// in any in-flight packet's listener list (listeningTo[j] > 0) now
@@ -802,21 +732,21 @@ func (x *dispCtx) startTransmission(i int) {
 	// mark is per node, not per (packet, node) pair, and the listeningTo
 	// inversion makes the check one counter load instead of a walk over
 	// every nearby packet's listeners.
-	for _, j := range x.nbr[i] {
-		h := &x.hot[j]
+	for _, j := range c.nbr[i] {
+		h := &c.hot[j]
 		h.busy++
 		if h.busy == 1 && h.state != model.Transmit {
 			// Channel became busy for j: freeze by resampling (rates -> 0).
-			x.scheduleTransition(j)
+			c.scheduleTransition(j)
 		}
 		if h.listeningTo > 0 && !h.has(fCollidedInPkt) {
 			h.set(fCollidedInPkt)
-			if x.measuring {
-				x.collided++
+			if c.measuring {
+				c.met.CollidedReceptions++
 			}
 		}
 	}
-	x.startPacket(i, 0, false)
+	c.startPacket(i, 0, false)
 }
 
 // startPacket begins one unit packet from transmitter i. burstLen counts
@@ -824,35 +754,35 @@ func (x *dispCtx) startTransmission(i int) {
 // packet of the hold was received. The listener set is every neighbor
 // currently listening; a listener with more than one transmitting
 // neighbor is collided from the start.
-func (x *dispCtx) startPacket(i int, burstLen int32, delivered bool) {
-	hi := &x.hot[i]
+func (c *coordinator) startPacket(i int, burstLen int32, delivered bool) {
+	hi := &c.hot[i]
 	hi.set(fPktActive)
 	hi.pktBurstLen = burstLen
 	hi.put(fPktDelivered, delivered)
-	listeners := x.pktListeners[i][:0]
-	for _, j := range x.nbr[i] {
-		h := &x.hot[j]
+	listeners := c.pktListeners[i][:0]
+	for _, j := range c.nbr[i] {
+		h := &c.hot[j]
 		if h.state == model.Listen {
 			listeners = append(listeners, j) //lint:allow hotalloc capacity is deg(i) and listeners are a subset of neighbors, so this never reallocates
 			h.listeningTo++
 			h.put(fCollidedInPkt, h.busy > 1)
-			if h.has(fCollidedInPkt) && x.measuring {
-				x.collided++
+			if h.has(fCollidedInPkt) && c.measuring {
+				c.met.CollidedReceptions++
 			}
 		}
 	}
-	x.pktListeners[i] = listeners
-	if x.logging {
-		x.logf("%.6f node %d: packet %d of hold, %d listeners",
-			x.now, i, burstLen+1, len(listeners)) //lint:allow hotalloc trace logging; x.logging is off in measured runs
+	c.pktListeners[i] = listeners
+	if c.logging {
+		c.logf("%.6f node %d: packet %d of hold, %d listeners",
+			c.now, i, burstLen+1, len(listeners)) //lint:allow hotalloc trace logging; c.logging is off in measured runs
 	}
-	x.push(event{at: x.now + x.packetTime, kind: evPacketEnd, node: i})
+	c.push(event{at: c.now + c.packetTime, kind: evPacketEnd, node: i})
 }
 
 // handlePacketEnd completes transmitter i's current packet: deliver
 // receptions, re-estimate listeners, and continue or release the channel.
-func (x *dispCtx) handlePacketEnd(i int) {
-	hi := &x.hot[i]
+func (c *coordinator) handlePacketEnd(i int) {
+	hi := &c.hot[i]
 	if !hi.has(fPktActive) || hi.state != model.Transmit {
 		return
 	}
@@ -860,10 +790,10 @@ func (x *dispCtx) handlePacketEnd(i int) {
 	// but delivers nothing. Receiver-side loss draws are skipped entirely
 	// for silenced packets: no reception was attempted, so the loss
 	// streams advance only on real attempts and stay reproducible.
-	silenced := x.flt.Silenced(i, x.now)
+	silenced := c.flt.Silenced(i, c.now)
 	success := 0
-	for _, j := range x.pktListeners[i] {
-		h := &x.hot[j]
+	for _, j := range c.pktListeners[i] {
+		h := &c.hot[j]
 		h.listeningTo-- // this packet is over; balances startPacket
 		if h.state != model.Listen {
 			// Left mid-packet (churn departure or crash): no reception.
@@ -874,34 +804,34 @@ func (x *dispCtx) handlePacketEnd(i int) {
 			h.clear(fCollidedInPkt)
 			continue
 		}
-		if silenced || x.flt.DropRx(j, x.now) {
-			if x.measuring {
-				x.lostRx++
+		if silenced || c.flt.DropRx(j, c.now) {
+			if c.measuring {
+				c.met.LostReceptions++
 			}
 			continue
 		}
 		success++
 		h.burstCount++
-		if x.cfg.OnDeliver != nil {
-			x.cfg.OnDeliver(i, j, x.now)
+		if c.cfg.OnDeliver != nil {
+			c.cfg.OnDeliver(i, j, c.now)
 		}
-		if x.measuring {
-			x.packetsDelivered++
+		if c.measuring {
+			c.met.PacketsDelivered++
 			// Burst/latency bookkeeping: first packet of a receive burst.
 			if h.burstCount == 1 && h.has(fHasBurst) && h.has(fSleptSince) {
-				x.latency = append(x.latency, x.now-x.packetTime-h.lastBurstEnd) //lint:allow hotalloc amortized sample buffer growth
+				c.latency = append(c.latency, c.now-c.packetTime-h.lastBurstEnd) //lint:allow hotalloc amortized sample buffer growth
 			}
 			h.clear(fSleptSince)
 		}
-		h.lastBurstEnd = x.now
+		h.lastBurstEnd = c.now
 		h.set(fHasBurst)
 	}
-	if x.measuring {
-		x.packetsSent++
-		x.gp[i] += float64(success) * x.packetTime
+	if c.measuring {
+		c.met.PacketsSent++
+		c.gp[i] += float64(success) * c.packetTime
 		if success > 0 {
-			x.packetsAny++
-			x.ap[i] += x.packetTime
+			c.met.PacketsAnyDeliver++
+			c.ap[i] += c.packetTime
 		}
 	}
 	if success > 0 {
@@ -912,142 +842,130 @@ func (x *dispCtx) handlePacketEnd(i int) {
 	hi.clear(fPktActive)
 
 	// A physically depleted listener is forced to sleep to recharge.
-	if x.cfg.HardBatteryFloor {
-		for _, j := range x.pktListeners[i] {
-			x.accrue(j)
-			if x.hot[j].state == model.Listen && x.cores[j].Depleted() {
-				x.flushBurst(j)
-				x.setState(j, model.Sleep)
-				x.hot[j].set(fSleptSince)
-				x.bump(j)
-				x.onListenSetChanged(j)
+	if c.cfg.HardBatteryFloor {
+		for _, j := range c.pktListeners[i] {
+			c.accrue(j)
+			if c.hot[j].state == model.Listen && c.cores[j].Depleted() {
+				c.flushBurst(j)
+				c.setState(j, model.Sleep)
+				c.hot[j].set(fSleptSince)
+				c.bump(j)
+				c.onListenSetChanged(j)
 			}
 		}
 	}
 
 	// Decide whether to hold the channel (EconCast-C) or release; a
 	// depleted transmitter must release regardless.
-	x.accrue(i)
-	est := x.estimateFor(i, success)
-	cont := x.cores[i].ContinueTransmitProb(x.pr(i), est)
-	forced := x.cfg.HardBatteryFloor && x.cores[i].Depleted()
-	if !x.active(i, x.now) {
+	c.accrue(i)
+	est := c.estimateFor(i, success)
+	cont := c.cores[i].ContinueTransmitProb(c.pr(i), est)
+	forced := c.cfg.HardBatteryFloor && c.cores[i].Depleted()
+	if !c.active(i, c.now) {
 		forced = true // departed or crashed: release the channel now
 	}
-	if !forced && x.rngs[i].Bernoulli(cont) {
-		x.startPacket(i, hi.pktBurstLen+1, hi.has(fPktDelivered))
+	if !forced && c.rngs[i].Bernoulli(cont) {
+		c.startPacket(i, hi.pktBurstLen+1, hi.has(fPktDelivered))
 		return
 	}
 	// Hold complete: record its length if it reached any receiver.
-	if hi.has(fPktDelivered) && x.measuring {
-		x.bl[i].Add(float64(hi.pktBurstLen + 1))
+	if hi.has(fPktDelivered) && c.measuring {
+		c.bl[i].Add(float64(hi.pktBurstLen + 1))
 	}
 	// Release: transmitter returns to listen (Fig. 1), neighbors unfreeze.
-	x.setState(i, model.Listen)
-	x.scheduleTransition(i)
-	for _, j := range x.nbr[i] {
-		h := &x.hot[j]
+	c.setState(i, model.Listen)
+	c.scheduleTransition(i)
+	for _, j := range c.nbr[i] {
+		h := &c.hot[j]
 		h.busy--
 		if h.busy == 0 && h.state != model.Transmit {
-			x.scheduleTransition(j)
+			c.scheduleTransition(j)
 		}
 	}
-	x.onListenSetChanged(i)
+	c.onListenSetChanged(i)
 }
 
 // flushBurst closes node i's receive burst (used by the latency metric;
 // burst-length samples themselves are recorded per channel hold).
-func (x *dispCtx) flushBurst(i int) {
-	x.hot[i].burstCount = 0
+func (c *coordinator) flushBurst(i int) {
+	c.hot[i].burstCount = 0
 }
 
 // handleTick advances energy bookkeeping (forcing the eq. 17 update to
 // land exactly on the tau boundary) and resamples the node's transition,
 // since its rates depend on the refreshed multiplier.
-func (x *dispCtx) handleTick(i int, tau float64) {
-	x.accrue(i)
+func (c *coordinator) handleTick(i int, tau float64) {
+	c.accrue(i)
 	// Departure: an absent node abandons listening (transmitters finish
 	// their current hold first; the packet machinery owns that state).
-	if !x.active(i, x.now) && x.hot[i].state == model.Listen {
-		x.flushBurst(i)
-		x.setState(i, model.Sleep)
-		x.hot[i].set(fSleptSince)
-		x.bump(i)
-		x.onListenSetChanged(i)
+	if !c.active(i, c.now) && c.hot[i].state == model.Listen {
+		c.flushBurst(i)
+		c.setState(i, model.Sleep)
+		c.hot[i].set(fSleptSince)
+		c.bump(i)
+		c.onListenSetChanged(i)
 	}
-	if x.cfg.OnTick != nil {
-		nd := x.cfg.Network.Nodes[i]
+	if c.cfg.OnTick != nil {
+		nd := c.cfg.Network.Nodes[i]
 		p0 := math.Max(nd.ListenPower, nd.TransmitPower)
-		x.cfg.OnTick(i, x.now, x.cores[i].Eta/p0)
+		c.cfg.OnTick(i, c.now, c.cores[i].Eta/p0)
 	}
-	if x.hot[i].state != model.Transmit {
-		x.scheduleTransition(i)
+	if c.hot[i].state != model.Transmit {
+		c.scheduleTransition(i)
 	}
-	x.push(event{at: x.now + tau, kind: evTick, node: i})
+	c.push(event{at: c.now + tau, kind: evTick, node: i})
 }
 
 // handleFault realizes one fault-schedule boundary for node i: a crash
 // edge parks the node (releasing the channel mid-hold if it was
 // transmitting), while a restart or a brownout/silence edge simply
 // resamples its transition so the new regime takes effect immediately.
-func (x *dispCtx) handleFault(i int) {
-	x.accrue(i)
-	if x.flt.Alive(i, x.now) {
-		if x.hot[i].state != model.Transmit {
-			x.scheduleTransition(i)
+func (c *coordinator) handleFault(i int) {
+	c.accrue(i)
+	if c.flt.Alive(i, c.now) {
+		if c.hot[i].state != model.Transmit {
+			c.scheduleTransition(i)
 		}
 		return
 	}
 	// Crashed. A transmitter abandons its hold: the in-flight packet
 	// dies undelivered and the channel is released for its neighbors.
-	switch x.hot[i].state {
+	switch c.hot[i].state {
 	case model.Transmit:
-		if hi := &x.hot[i]; hi.has(fPktActive) {
-			for _, j := range x.pktListeners[i] {
-				h := &x.hot[j]
+		if hi := &c.hot[i]; hi.has(fPktActive) {
+			for _, j := range c.pktListeners[i] {
+				h := &c.hot[j]
 				h.listeningTo--
 				h.clear(fCollidedInPkt)
 			}
 			hi.clear(fPktActive)
 		}
-		x.setState(i, model.Sleep)
-		x.bump(i)
-		for _, j := range x.nbr[i] {
-			h := &x.hot[j]
+		c.setState(i, model.Sleep)
+		c.bump(i)
+		for _, j := range c.nbr[i] {
+			h := &c.hot[j]
 			h.busy--
 			if h.busy == 0 && h.state != model.Transmit {
-				x.scheduleTransition(j)
+				c.scheduleTransition(j)
 			}
 		}
-		x.onListenSetChanged(i)
+		c.onListenSetChanged(i)
 	case model.Listen:
-		x.flushBurst(i)
-		x.setState(i, model.Sleep)
-		x.hot[i].set(fSleptSince)
-		x.bump(i)
-		x.onListenSetChanged(i)
+		c.flushBurst(i)
+		c.setState(i, model.Sleep)
+		c.hot[i].set(fSleptSince)
+		c.bump(i)
+		c.onListenSetChanged(i)
 	default:
-		x.bump(i) // cancel any pending wake-up; stays down until restart
+		c.bump(i) // cancel any pending wake-up; stays down until restart
 	}
 }
 
-// finish assembles the metrics: schedule-private counters from every
-// dispatcher fold by exact integer addition (and latency buffers by
-// sorted-CDF sealing), per-node accumulations fold in ascending node
-// order — so the result is independent of which dispatcher executed
-// which event.
-func (c *coordinator) finish(ctxs ...*dispCtx) *Metrics {
-	var latency []float64
-	for _, x := range ctxs {
-		c.met.Events += x.events
-		c.met.PacketsSent += x.packetsSent
-		c.met.PacketsDelivered += x.packetsDelivered
-		c.met.PacketsAnyDeliver += x.packetsAny
-		c.met.CollidedReceptions += x.collided
-		c.met.LostReceptions += x.lostRx
-		latency = append(latency, x.latency...)
-	}
-	c.met.Latency = stats.NewCDF(latency)
+// finish assembles the metrics. Per-node accumulations fold in
+// ascending node order, so the result does not depend on how the
+// dispatch schedule interleaved the nodes.
+func (c *coordinator) finish() *Metrics {
+	c.met.Latency = stats.NewCDF(c.latency)
 	window := c.cfg.Duration - c.cfg.Warmup
 	c.met.Window = window
 	for i := 0; i < c.n; i++ {

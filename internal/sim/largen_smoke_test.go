@@ -13,17 +13,15 @@ import (
 	"econcast/internal/topology"
 )
 
-// TestLargeNSmoke drives the window-parallel engine over a 100k-node
-// grid on a truncated horizon, fanning two replicate cells through the
-// sweep so the race detector has concurrent engines to watch. The cells
-// force Parallel: 4 (auto would pick the serial coordinator), so with
-// GOMAXPROCS above 1 (the CI smoke sets 4) the window workers run
-// concurrently and the barrier protocol is raced at real scale. The
-// first cell is re-run serially on one coordinator shard and compared
-// for deep equality — the multi-core smoke double-checks the
-// byte-identity contract at scale. At this N it is far too heavy for
-// the ordinary `go test ./...` pass, so it only runs when CI asks for
-// it via ECONCAST_LARGE_N_SMOKE=1.
+// TestLargeNSmoke drives the default engine over a 100k-node grid on a
+// truncated horizon, fanning two replicate cells through the sweep so
+// the race detector has two concurrent engines to watch. Each cell
+// auto-shards (about 97 shards at this N); with GOMAXPROCS above 1 (the
+// CI smoke sets 4) the two sharded coordinators run concurrently. The
+// first cell is re-run on one coordinator shard and compared for deep
+// equality, so the byte-identity contract is checked at scale. At this
+// N it is far too heavy for the ordinary `go test ./...` pass, so it
+// only runs when CI asks for it via ECONCAST_LARGE_N_SMOKE=1.
 func TestLargeNSmoke(t *testing.T) {
 	if os.Getenv("ECONCAST_LARGE_N_SMOKE") == "" {
 		t.Skip("set ECONCAST_LARGE_N_SMOKE=1 to run the 100k-node smoke test")
@@ -38,11 +36,10 @@ func TestLargeNSmoke(t *testing.T) {
 			Duration: 0.004,
 			Warmup:   0.001,
 			Seed:     rng.DeriveSeed(11, 100000, rep),
-			Parallel: 4,
 		}
 	}
 	first := cell(1)
-	t.Logf("parallel engine with %d workers requested (GOMAXPROCS %d)", first.parallelPlan(), runtime.GOMAXPROCS(0))
+	t.Logf("%d shards per cell (GOMAXPROCS %d)", first.shardPlan(), runtime.GOMAXPROCS(0))
 	reps := []uint64{1, 2}
 	metrics, err := sweep.Map(2, reps, func(ri int, rep uint64) (*Metrics, error) {
 		return Run(cell(rep))
@@ -59,7 +56,7 @@ func TestLargeNSmoke(t *testing.T) {
 		}
 	}
 	serial := cell(1)
-	serial.Parallel, serial.Shards = 1, 1
+	serial.Shards = 1
 	want, err := Run(serial)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"econcast/internal/econcast"
@@ -77,34 +76,6 @@ func BenchmarkScaleGrid(b *testing.B) {
 						b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "events/s")
 					}
 				})
-			}
-		})
-	}
-}
-
-// BenchmarkScaleGridParallel is the window-parallel engine datapoint:
-// one replicate per N forced through the parallel engine with one
-// worker per core (floored at 2 so `-cpu 1` still measures the window
-// machinery rather than silently falling back to the serial path). Run
-// with `-cpu 1,4,16` to produce the multi-core speedup rows; benchjson
-// keys them by its gomaxprocs column. Single-run wall time against
-// BenchmarkScaleGrid/workers=1 (which fans replicate cells, not one
-// sim) is not the speedup denominator — BenchmarkScaleGridParallel at
-// -cpu 1 is.
-func BenchmarkScaleGridParallel(b *testing.B) {
-	for _, sc := range scaleBenchCases() {
-		b.Run(sc.label, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := sc.config(rng.DeriveSeed(7, uint64(sc.n), 1))
-				cfg.Parallel = runtime.GOMAXPROCS(0)
-				if cfg.Parallel < 2 {
-					cfg.Parallel = 2
-				}
-				m, err := Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(m.Events)/b.Elapsed().Seconds(), "events/s")
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"econcast/internal/econcast"
 	"econcast/internal/model"
@@ -57,5 +58,13 @@ func TestShardEventLoopSteadyStateAllocs(t *testing.T) {
 	})
 	if avg > 0.01 {
 		t.Fatalf("sharded steady-state event loop allocates %.4f allocs/event, want 0", avg)
+	}
+}
+
+// TestNodeHotSize pins the SoA compaction contract: the hot per-node
+// record is exactly one cache line.
+func TestNodeHotSize(t *testing.T) {
+	if s := unsafe.Sizeof(nodeHot{}); s != 64 {
+		t.Fatalf("nodeHot is %d bytes, want 64", s)
 	}
 }

@@ -118,12 +118,11 @@ type Config struct {
 	// so transitions take effect within one tau.
 	Churn func(node int, t float64) bool
 
-	// Shards controls how many spatial shards the serial coordinator
-	// splits a non-clique topology into: 0 auto-selects (one shard below
+	// Shards controls how many spatial shards the coordinator splits a
+	// non-clique topology into: 0 auto-selects (one shard below
 	// autoShardMinN nodes, about autoShardNodes nodes per shard at or
 	// above it, whatever GOMAXPROCS is), 1 forces a single shard, and
-	// >= 2 forces about that many shards. A Parallel >= 2 run uses at
-	// least one shard per worker. Every shard count produces
+	// >= 2 forces about that many shards. Every shard count produces
 	// byte-identical results: the coordinator dispatches events in one
 	// global (at, seq) order, event keys are content-derived (per-node
 	// Lamport clocks), and every RNG draw comes from the stream of the
@@ -131,16 +130,11 @@ type Config struct {
 	// (a single interference domain) always run on one shard.
 	Shards int
 
-	// Parallel controls the multi-core window-synchronized engine
-	// (par.go): 0 and 1 both run single-threaded on the serial
-	// coordinator (with the shard count Shards selects), and >= 2
-	// forces that many shard workers. Auto never picks the window engine:
-	// measured on a 2-vCPU host it costs about twice the serial engine's
-	// CPU per event. The parallel engine is byte-identical to the serial
-	// coordinator at every worker count and GOMAXPROCS setting — see
-	// DESIGN.md §9 for the merge proof. Hooks that observe the global
-	// schedule (EventLog, OnDeliver, OnTick, EstimateListeners,
-	// TrackOccupancy, Churn, Harvest) force a serial run regardless.
+	// Parallel is ignored: every run is single-threaded on the
+	// coordinator, with the shard count Shards selects.
+	//
+	// Deprecated: the window-parallel engine it selected was removed
+	// (it ran slower than the coordinator; see DESIGN.md §9).
 	Parallel int
 
 	// Faults, when non-nil, injects the shared fault processes
@@ -180,9 +174,6 @@ func (c *Config) validate() error {
 	}
 	if c.Shards < 0 {
 		return errors.New("sim: shards must be non-negative")
-	}
-	if c.Parallel < 0 {
-		return errors.New("sim: parallel must be non-negative")
 	}
 	return nil
 }
@@ -234,30 +225,6 @@ func (c *Config) shardPlan() int {
 	return 1
 }
 
-// parallelEligible reports whether a run may use the parallel engine:
-// any hook that observes the global dispatch schedule (or shares
-// unpartitioned state, like the occupancy map and harvest closures
-// capturing user code) forces serial execution.
-func (c *Config) parallelEligible() bool {
-	return c.EventLog == nil &&
-		c.OnDeliver == nil &&
-		c.OnTick == nil &&
-		c.EstimateListeners == nil &&
-		!c.TrackOccupancy &&
-		c.Churn == nil &&
-		c.Harvest == nil
-}
-
-// parallelPlan resolves the Parallel setting to an effective worker
-// count; 1 means a single-threaded run. Only an explicit Parallel >= 2
-// selects the window-parallel engine (see Config.Parallel for why).
-func (c *Config) parallelPlan() int {
-	if c.Parallel < 2 || c.Topology == nil || c.Topology.IsClique() || !c.parallelEligible() {
-		return 1
-	}
-	return c.Parallel
-}
-
 // Metrics are the outputs of a run, measured over (Warmup, Duration].
 type Metrics struct {
 	Window   float64 // measured seconds
@@ -302,7 +269,7 @@ const (
 
 type event struct {
 	at      float64
-	seq     uint64 // Lamport tie-break key (see dispCtx.push)
+	seq     uint64 // Lamport tie-break key (see coordinator.push)
 	kind    int
 	node    int
 	version uint64 // transition version; stale events are dropped
@@ -365,11 +332,9 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
-// Run simulates the configuration and returns its metrics. Every run
-// goes through the coordinator (coord.go): serially with the shard
-// count shardPlan picks, or on the window-parallel engine (par.go) for
-// an explicit Parallel >= 2. A nil topology runs as the clique it
-// stands for.
+// Run simulates the configuration and returns its metrics on the
+// coordinator (coord.go), with the shard count shardPlan picks. A nil
+// topology runs as the clique it stands for.
 func Run(cfg Config) (*Metrics, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -378,24 +343,10 @@ func Run(cfg Config) (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	if workers := cfg.parallelPlan(); workers > 1 {
-		// Honor an explicit shard count when it is finer than the worker
-		// pool; otherwise one shard per worker.
-		shards := cfg.shardPlan()
-		if shards < workers {
-			shards = workers
-		}
-		if n := cfg.Topology.N(); shards > n {
-			shards = n
-		}
-		p := newParCoordinator(cfg, flt, shards, workers)
-		p.run()
-		return p.finish(), nil
-	}
 	if cfg.Topology == nil {
 		cfg.Topology = topology.Clique(cfg.Network.N())
 	}
 	c := newCoordinator(cfg, flt, cfg.shardPlan())
 	c.run()
-	return c.finish(&c.ctx), nil
+	return c.finish(), nil
 }

@@ -1,7 +1,7 @@
 // Spatial interference sharding: a Partition splits a topology's nodes
 // into shards such that most interference is shard-local, so a sharded
-// simulation engine can keep per-shard event queues and node state and
-// touch a neighboring shard only at the frontier.
+// simulation engine can keep per-shard event queues and touch a
+// neighboring shard only at the frontier.
 //
 // The partitioning rule follows the constructor's spatial structure:
 // grids are tiled into rectangular blocks, random-geometric graphs into
@@ -12,26 +12,14 @@
 // never influence it — so everything downstream stays deterministic.
 package topology
 
-import (
-	"math"
-	"math/bits"
-
-	"econcast/internal/sweep"
-)
+import "math"
 
 // Partition assigns every node of a topology to one of Shards() spatial
-// interference shards and precomputes, per node, the bitset of shards its
-// closed neighborhood {i} ∪ N(i) touches. A node whose mask has a single
-// bit is interior: no event it generates can be observed outside its own
-// shard.
+// interference shards.
 type Partition struct {
-	topo      *Topology
-	shards    int
-	maskWords int       // ceil(shards / 64)
-	shardOf   []int32   // node -> shard
-	members   [][]int32 // shard -> member nodes, ascending
-	masks     []uint64  // node-major, maskWords words per node
-	interior  []bool    // node -> closed neighborhood within one shard
+	topo    *Topology
+	shards  int
+	shardOf []int32 // node -> shard
 }
 
 // NewPartition partitions t into at least 1 and at most target shards
@@ -54,8 +42,6 @@ func NewPartition(t *Topology, target int) *Partition {
 	p := &Partition{topo: t, shardOf: make([]int32, n)}
 	p.assign(target)
 	p.compact()
-	p.maskWords = (p.shards + 63) / 64
-	p.buildMasks()
 	return p
 }
 
@@ -104,8 +90,8 @@ func (p *Partition) assign(target int) {
 	}
 }
 
-// compact renumbers raw shard ids densely in ascending raw order, drops
-// empty shards, and builds the member lists.
+// compact renumbers raw shard ids densely in ascending raw order and
+// drops empty shards.
 func (p *Partition) compact() {
 	maxRaw := int32(0)
 	for _, s := range p.shardOf {
@@ -128,61 +114,9 @@ func (p *Partition) compact() {
 		}
 	}
 	p.shards = int(next)
-	p.members = make([][]int32, p.shards)
-	counts := make([]int32, p.shards)
 	for i, s := range p.shardOf {
 		p.shardOf[i] = remap[s]
-		counts[p.shardOf[i]]++
 	}
-	for s := range p.members {
-		p.members[s] = make([]int32, 0, counts[s])
-	}
-	for i, s := range p.shardOf {
-		p.members[s] = append(p.members[s], int32(i))
-	}
-}
-
-// buildMasks computes every node's shard-neighborhood bitset. Each
-// shard's members form one independent unit of work, scheduled as a
-// sweep cell: cells only read the (now immutable) assignment and return
-// their mask block, so the result is byte-identical at any worker count.
-func (p *Partition) buildMasks() {
-	n := p.topo.N()
-	w := p.maskWords
-	p.masks = make([]uint64, n*w)
-	p.interior = make([]bool, n)
-	blocks, err := sweep.Map(0, p.members, func(_ int, members []int32) ([]uint64, error) {
-		block := make([]uint64, len(members)*w)
-		for mi, node := range members {
-			mask := block[mi*w : (mi+1)*w]
-			own := p.shardOf[node]
-			mask[own>>6] |= 1 << uint(own&63)
-			for _, j := range p.topo.neighbors[node] {
-				s := p.shardOf[j]
-				mask[s>>6] |= 1 << uint(s&63)
-			}
-		}
-		return block, nil
-	})
-	if err != nil {
-		// Cells cannot fail; only a cell panic reaches here.
-		panic(err)
-	}
-	for s, members := range p.members {
-		block := blocks[s]
-		for mi, node := range members {
-			copy(p.masks[int(node)*w:], block[mi*w:(mi+1)*w])
-			p.interior[node] = popcount(block[mi*w:(mi+1)*w]) == 1
-		}
-	}
-}
-
-func popcount(words []uint64) int {
-	total := 0
-	for _, word := range words {
-		total += bits.OnesCount64(word)
-	}
-	return total
 }
 
 func clamp(v, lo, hi int) int {
@@ -203,70 +137,3 @@ func (p *Partition) Shards() int { return p.shards }
 
 // ShardOf returns the shard owning node i.
 func (p *Partition) ShardOf(i int) int { return int(p.shardOf[i]) }
-
-// Members returns shard s's member nodes in ascending order. The
-// returned slice must not be modified.
-func (p *Partition) Members(s int) []int32 { return p.members[s] }
-
-// MaskWords returns the number of uint64 words in each node's shard
-// mask.
-func (p *Partition) MaskWords() int { return p.maskWords }
-
-// Mask returns node i's shard-neighborhood bitset: bit s is set iff some
-// node of {i} ∪ N(i) lives in shard s. The returned slice aliases the
-// partition's storage and must not be modified; the accessor is
-// allocation-free so simulation hot loops can call it per event.
-func (p *Partition) Mask(i int) []uint64 {
-	return p.masks[i*p.maskWords : (i+1)*p.maskWords]
-}
-
-// MaskSpan returns how many shards node i's closed neighborhood touches.
-func (p *Partition) MaskSpan(i int) int { return popcount(p.Mask(i)) }
-
-// Interior reports whether node i's closed neighborhood lies entirely
-// within its own shard: events at interior nodes never cross a shard
-// boundary.
-func (p *Partition) Interior(i int) bool { return p.interior[i] }
-
-// Depths returns, per node, the hop distance to the nearest node of a
-// different shard, capped at depth+1: a node adjacent to a foreign node
-// has depth 1, its same-shard neighbors (without their own foreign
-// neighbor) depth 2, and so on; any node farther than the cap — including
-// every node of a single-shard partition — reports depth+1. The parallel
-// shard engine uses this as its boundary-latency metadata: an event at a
-// node deeper than the conflict-plus-push radius cannot interact with any
-// foreign shard's events and may dispatch without consulting the global
-// safe horizon. The result is a pure function of (partition, depth),
-// computed by deterministic multi-source BFS.
-func (p *Partition) Depths(depth int) []int32 {
-	n := p.topo.N()
-	far := int32(depth + 1)
-	d := make([]int32, n)
-	queue := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		d[i] = far
-		own := p.shardOf[i]
-		for _, j := range p.topo.neighbors[i] {
-			if p.shardOf[j] != own {
-				d[i] = 1
-				queue = append(queue, int32(i))
-				break
-			}
-		}
-	}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		next := d[i] + 1
-		if next > int32(depth) {
-			continue
-		}
-		for _, j := range p.topo.neighbors[i] {
-			if d[j] > next {
-				d[j] = next
-				queue = append(queue, int32(j))
-			}
-		}
-	}
-	return d
-}

@@ -9,55 +9,33 @@ import (
 )
 
 // checkPartitionInvariants verifies the structural contract every
-// partition must satisfy, against a brute-force recomputation of the
-// masks from the adjacency lists.
+// partition must satisfy: every node sits in a shard in [0, Shards()),
+// and no shard is empty after compaction.
 func checkPartitionInvariants(t *testing.T, topo *Topology, p *Partition) {
 	t.Helper()
-	n := topo.N()
-	seen := make([]bool, n)
-	for s := 0; s < p.Shards(); s++ {
-		members := p.Members(s)
-		if len(members) == 0 {
+	size := make([]int, p.Shards())
+	for i := 0; i < topo.N(); i++ {
+		s := p.ShardOf(i)
+		if s < 0 || s >= p.Shards() {
+			t.Fatalf("node %d in shard %d, want [0, %d)", i, s, p.Shards())
+		}
+		size[s]++
+	}
+	for s, k := range size {
+		if k == 0 {
 			t.Fatalf("shard %d is empty after compaction", s)
 		}
-		prev := int32(-1)
-		for _, m := range members {
-			if m <= prev {
-				t.Fatalf("shard %d members not ascending: %v", s, members)
-			}
-			prev = m
-			if p.ShardOf(int(m)) != s {
-				t.Fatalf("node %d in Members(%d) but ShardOf says %d", m, s, p.ShardOf(int(m)))
-			}
-			if seen[m] {
-				t.Fatalf("node %d in two shards", m)
-			}
-			seen[m] = true
-		}
 	}
-	for i := 0; i < n; i++ {
-		if !seen[i] {
-			t.Fatalf("node %d unassigned", i)
-		}
-		// Brute-force mask: shards of {i} ∪ N(i).
-		want := make([]uint64, p.MaskWords())
-		set := func(s int) { want[s>>6] |= 1 << uint(s&63) }
-		set(p.ShardOf(i))
-		span := map[int]bool{p.ShardOf(i): true}
-		for _, j := range topo.Neighbors(i) {
-			set(p.ShardOf(j))
-			span[p.ShardOf(j)] = true
-		}
-		if got := p.Mask(i); !reflect.DeepEqual(got, want) {
-			t.Fatalf("node %d mask = %v, want %v", i, got, want)
-		}
-		if p.MaskSpan(i) != len(span) {
-			t.Fatalf("node %d span = %d, want %d", i, p.MaskSpan(i), len(span))
-		}
-		if p.Interior(i) != (len(span) == 1) {
-			t.Fatalf("node %d interior = %v, span %d", i, p.Interior(i), len(span))
-		}
+}
+
+// span returns how many distinct shards node i's closed neighborhood
+// {i} ∪ N(i) touches: 1 for a node whose events stay shard-local.
+func span(topo *Topology, p *Partition, i int) int {
+	seen := map[int]bool{p.ShardOf(i): true}
+	for _, j := range topo.Neighbors(i) {
+		seen[p.ShardOf(j)] = true
 	}
+	return len(seen)
 }
 
 func TestPartitionFamilies(t *testing.T) {
@@ -96,8 +74,8 @@ func TestPartitionCliqueSingleShard(t *testing.T) {
 		t.Fatalf("clique partitioned into %d shards, want 1", p.Shards())
 	}
 	for i := 0; i < 12; i++ {
-		if !p.Interior(i) {
-			t.Fatalf("clique node %d not interior under the single shard", i)
+		if p.ShardOf(i) != 0 {
+			t.Fatalf("clique node %d in shard %d, want 0", i, p.ShardOf(i))
 		}
 	}
 }
@@ -108,12 +86,12 @@ func TestPartitionCliqueSingleShard(t *testing.T) {
 func TestPartitionRingArcsContiguous(t *testing.T) {
 	ring := Ring(12)
 	p := NewPartition(ring, 4)
-	for s := 0; s < p.Shards(); s++ {
-		m := p.Members(s)
-		for k := 1; k < len(m); k++ {
-			if m[k] != m[k-1]+1 {
-				t.Fatalf("shard %d not a contiguous arc: %v", s, m)
-			}
+	for i := 1; i < ring.N(); i++ {
+		// Arcs are contiguous index ranges in ascending shard order, so
+		// walking the ring either stays in a shard or steps to the next.
+		if d := p.ShardOf(i) - p.ShardOf(i-1); d != 0 && d != 1 {
+			t.Fatalf("nodes %d and %d in shards %d and %d: not contiguous arcs",
+				i-1, i, p.ShardOf(i-1), p.ShardOf(i))
 		}
 	}
 	all := NewPartition(ring, 12)
@@ -121,20 +99,21 @@ func TestPartitionRingArcsContiguous(t *testing.T) {
 		t.Fatalf("singleton partition has %d shards", all.Shards())
 	}
 	for i := 0; i < 12; i++ {
-		if all.MaskSpan(i) != 3 {
-			t.Fatalf("singleton ring node %d spans %d shards, want 3", i, all.MaskSpan(i))
+		if got := span(ring, all, i); got != 3 {
+			t.Fatalf("singleton ring node %d spans %d shards, want 3", i, got)
 		}
 	}
 }
 
 // TestPartitionGridInteriorMajority checks the point of spatial tiling:
-// at moderate shard sizes most nodes are interior.
+// at moderate shard sizes most nodes' closed neighborhoods stay inside
+// their own shard.
 func TestPartitionGridInteriorMajority(t *testing.T) {
 	g := Grid(32, 32)
 	p := NewPartition(g, 16) // 8x8 blocks
 	interior := 0
 	for i := 0; i < g.N(); i++ {
-		if p.Interior(i) {
+		if span(g, p, i) == 1 {
 			interior++
 		}
 	}
@@ -144,12 +123,11 @@ func TestPartitionGridInteriorMajority(t *testing.T) {
 }
 
 // TestPartitionDeterministic pins that the partition is a pure function
-// of (topology, target): two constructions agree exactly, including the
-// sweep-built masks.
+// of (topology, target): two constructions agree exactly.
 func TestPartitionDeterministic(t *testing.T) {
 	a := NewPartition(Grid(10, 13), 7)
 	b := NewPartition(Grid(10, 13), 7)
-	if !reflect.DeepEqual(a.masks, b.masks) || !reflect.DeepEqual(a.shardOf, b.shardOf) {
+	if a.Shards() != b.Shards() || !reflect.DeepEqual(a.shardOf, b.shardOf) {
 		t.Fatal("partition not deterministic")
 	}
 }
@@ -198,9 +176,6 @@ func TestPartitionDegenerateRGG(t *testing.T) {
 	if p.Shards() != 1 {
 		t.Fatalf("one-bucket RGG partitioned into %d shards, want 1", p.Shards())
 	}
-	if len(p.Members(0)) != topo.N() {
-		t.Fatalf("single shard holds %d of %d nodes", len(p.Members(0)), topo.N())
-	}
 	checkPartitionInvariants(t, topo, p)
 }
 
@@ -239,17 +214,18 @@ func TestPartitionTargetClamp(t *testing.T) {
 	}
 }
 
-// TestPartitionMaskSpansManyShards pins the 3+-shard mask case the
-// sharded engine's frontier handling must cover: with 1x1 grid blocks an
-// interior grid node's closed neighborhood touches 5 shards.
-func TestPartitionMaskSpansManyShards(t *testing.T) {
+// TestPartitionNeighborhoodSpansManyShards pins the 3+-shard frontier
+// case the sharded engine's cross-shard pushes must cover: with 1x1
+// grid blocks an interior grid node's closed neighborhood touches 5
+// shards.
+func TestPartitionNeighborhoodSpansManyShards(t *testing.T) {
 	g := Grid(5, 5)
 	p := NewPartition(g, 25)
 	if p.Shards() != 25 {
 		t.Fatalf("got %d shards, want 25", p.Shards())
 	}
 	center := 2*5 + 2
-	if span := p.MaskSpan(center); span != 5 {
-		t.Fatalf("center node spans %d shards, want 5", span)
+	if got := span(g, p, center); got != 5 {
+		t.Fatalf("center node spans %d shards, want 5", got)
 	}
 }
