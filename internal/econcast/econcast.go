@@ -240,31 +240,33 @@ func (n *Core) Rates(p *Params, carrierFree bool, estimate float64) Rates {
 
 // SleepToListen is the SleepToListen field of Rates on its own. A host
 // that needs only the rates out of a node's current state calls this or
-// ListenRates and skips the exponentials of the other states.
+// ListenRates and skips the exponentials of the other states. A sensed
+// carrier freezes the rate to an exact zero without evaluating the
+// exponential.
 func (n *Core) SleepToListen(p *Params, carrierFree bool) float64 {
-	a := 0.0
-	if carrierFree {
-		a = 1
+	if !carrierFree {
+		return 0
 	}
-	return a * math.Exp(-n.scaled(p, p.ListenPower)) * (1 / p.PacketTime)
+	return math.Exp(-n.scaled(p, p.ListenPower)) * (1 / p.PacketTime)
 }
 
 // ListenRates returns the ListenToSleep and ListenToTransmit fields of
-// Rates, computed without the other two.
+// Rates, computed without the other two. Like SleepToListen, both are
+// exact zeros under a sensed carrier, even where the exponential would
+// overflow (L > X with a large multiplier).
 func (n *Core) ListenRates(p *Params, carrierFree bool, estimate float64) (toSleep, toTransmit float64) {
-	perSec := 1 / p.PacketTime
-	a := 0.0
-	if carrierFree {
-		a = 1
+	if !carrierFree {
+		return 0, 0
 	}
+	perSec := 1 / p.PacketTime
 	lx := n.scaled(p, p.ListenPower) - n.scaled(p, p.TransmitPower)
 	switch p.Variant {
 	case Capture:
-		toTransmit = a * math.Exp(lx) * perSec
+		toTransmit = math.Exp(lx) * perSec
 	case NonCapture:
-		toTransmit = a * math.Exp(lx+estimate/p.Sigma) * perSec
+		toTransmit = math.Exp(lx+estimate/p.Sigma) * perSec
 	}
-	return a * perSec, toTransmit
+	return perSec, toTransmit
 }
 
 // ContinueTransmitProb is the packetized form of the transmit-state

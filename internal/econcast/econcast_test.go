@@ -98,6 +98,32 @@ func TestCarrierSenseFreezes(t *testing.T) {
 	}
 }
 
+// A sensed carrier freezes the rates to exact zeros even where the
+// listen->transmit exponential overflows: with L > X and a huge
+// multiplier, exp(eta (L-X) / p0 / sigma) is +Inf, and 0·Inf would be
+// NaN.
+func TestFrozenRatesExactZeroAtHugeEta(t *testing.T) {
+	for _, v := range []Variant{Capture, NonCapture} {
+		c := baseConfig()
+		c.Variant = v
+		c.ListenPower = 900 * model.MicroWatt
+		c.TransmitPower = 100 * model.MicroWatt
+		p := NewParams(c)
+		core := NewCore(0)
+		core.Eta = 1e6
+		if !math.IsInf(math.Exp(core.scaled(&p, p.ListenPower)-core.scaled(&p, p.TransmitPower)), 1) {
+			t.Fatal("test premise: the listen->transmit exponential should overflow")
+		}
+		if sl := core.SleepToListen(&p, false); sl != 0 || math.Signbit(sl) {
+			t.Fatalf("%v: frozen sleep->listen = %v, want +0", v, sl)
+		}
+		ls, lx := core.ListenRates(&p, false, 3)
+		if ls != 0 || lx != 0 || math.Signbit(ls) || math.Signbit(lx) {
+			t.Fatalf("%v: frozen listen rates = (%v, %v), want (+0, +0)", v, ls, lx)
+		}
+	}
+}
+
 func TestEtaLowersActivity(t *testing.T) {
 	n := NewNode(baseConfig())
 	r0 := n.Rates(true, 0)

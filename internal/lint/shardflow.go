@@ -18,10 +18,12 @@ type shardflowConfig struct {
 	shardType   string // the per-shard runtime
 	drainMethod string // shardType method that drains a batch
 	fixMethod   string // coordType method restoring one heap position
-	pushMethod  string // queue method that enqueues an event
+
+	// heapOps are the shard-heap mutations that can move a shard's head,
+	// each matched as shards[s].<field>.<method>(...).
+	heapOps []shardHeapOp
 
 	shardsField  string // coordType field: slice of shard runtimes
-	queueField   string // shardType field: the event heap
 	posField     string // coordType SoA: heap position per shard
 	currentField string // coordType scalar: the draining shard id
 	idField      string // shardType field: this shard's id
@@ -36,18 +38,25 @@ type shardflowConfig struct {
 	controlScalars map[string]bool
 }
 
+// shardHeapOp names one shard-heap mutation: a method called on a
+// shardType field.
+type shardHeapOp struct{ field, method string }
+
 // shardflowConfigs keys engine descriptions by import path, mirroring
 // hotEntries: the fixture packages load themselves under the same path
 // to opt in.
 var shardflowConfigs = map[string]shardflowConfig{
 	"econcast/internal/sim": {
-		coordType:    "coordinator",
-		shardType:    "shardRuntime",
-		drainMethod:  "run",
-		fixMethod:    "fix",
-		pushMethod:   "push",
+		coordType:   "coordinator",
+		shardType:   "shardRuntime",
+		drainMethod: "run",
+		fixMethod:   "fix",
+		heapOps: []shardHeapOp{
+			{"queue", "push"},   // packet ends, ticks, fault boundaries
+			{"trans", "set"},    // a node's pending transition, set or replaced
+			{"trans", "remove"}, // its cancellation
+		},
 		shardsField:  "shards",
-		queueField:   "queue",
 		posField:     "pos",
 		currentField: "current",
 		idField:      "id",
@@ -70,9 +79,10 @@ var shardflowConfigs = map[string]shardflowConfig{
 //     positions against a heap holding a stale root.
 //  2. Every drain must be followed by fix(s) on all paths to the
 //     function exit, re-attaching the shard before the next comparison.
-//  3. Every push into a shard's queue must be followed on all paths by
-//     fix of that shard — except along branch edges that prove the push
-//     landed in the currently-draining (detached) shard.
+//  3. Every mutation of a shard's heaps (a queue push, a transition
+//     set or cancel) must be followed on all paths by fix of that
+//     shard — except along branch edges that prove the mutation hit the
+//     currently-draining (detached) shard.
 //  4. A shard-receiver method may index the coordinator's per-shard SoA
 //     slices only through its own id, and may write the coordinator's
 //     batch-control scalars only when the method is a declared
@@ -131,7 +141,7 @@ func (sf *shardflowPass) graphFor(fd *ast.FuncDecl) (*flow.Graph, *flow.DomTree)
 
 // checkCoordMethod enforces rules 1–3 inside one coordinator method.
 func (sf *shardflowPass) checkCoordMethod(fd *ast.FuncDecl) {
-	var drains, pushes []*ast.CallExpr
+	var drains, ops []*ast.CallExpr
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -140,12 +150,12 @@ func (sf *shardflowPass) checkCoordMethod(fd *ast.FuncDecl) {
 		if _, ok := sf.drainIndex(call); ok {
 			drains = append(drains, call)
 		}
-		if _, ok := sf.pushIndex(call); ok {
-			pushes = append(pushes, call)
+		if _, ok := sf.heapOpIndex(call); ok {
+			ops = append(ops, call)
 		}
 		return true
 	})
-	if len(drains) == 0 && len(pushes) == 0 {
+	if len(drains) == 0 && len(ops) == 0 {
 		return
 	}
 	g, dom := sf.graphFor(fd)
@@ -155,9 +165,9 @@ func (sf *shardflowPass) checkCoordMethod(fd *ast.FuncDecl) {
 			"drain of shard %s is not followed by %s on every path to the exit; the shard would stay detached from the heap",
 		)
 	}
-	for _, call := range pushes {
-		sf.checkFollowedByFix(g, call, sf.pushCallIndex(call), true,
-			"push into shard %s is not followed by an eager %s on every cross-shard path; the heap would hold a stale position at the next comparison",
+	for _, call := range ops {
+		sf.checkFollowedByFix(g, call, sf.heapOpCallIndex(call), true,
+			"heap mutation of shard %s is not followed by an eager %s on every cross-shard path; the heap would hold a stale position at the next comparison",
 		)
 	}
 }
@@ -182,21 +192,30 @@ func (sf *shardflowPass) drainIndex(call *ast.CallExpr) (ast.Expr, bool) {
 	return nil, false
 }
 
-// pushIndex matches cfg.shards[s].queue.push(...) and returns the shard
-// index expression.
-func (sf *shardflowPass) pushIndex(call *ast.CallExpr) (ast.Expr, bool) {
+// heapOpIndex matches cfg.shards[s].<field>.<method>(...) for any of
+// the configured heap ops and returns the shard index expression.
+func (sf *shardflowPass) heapOpIndex(call *ast.CallExpr) (ast.Expr, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != sf.cfg.pushMethod {
+	if !ok {
 		return nil, false
 	}
-	qsel, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !ok || qsel.Sel.Name != sf.cfg.queueField {
+	fsel, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+	if !ok || !sf.isHeapOp(fsel.Sel.Name, sel.Sel.Name) {
 		return nil, false
 	}
-	if ix, ok := ast.Unparen(qsel.X).(*ast.IndexExpr); ok && sf.isCoordField(ix.X, sf.cfg.shardsField) {
+	if ix, ok := ast.Unparen(fsel.X).(*ast.IndexExpr); ok && sf.isCoordField(ix.X, sf.cfg.shardsField) {
 		return ix.Index, true
 	}
 	return nil, false
+}
+
+func (sf *shardflowPass) isHeapOp(field, method string) bool {
+	for _, op := range sf.cfg.heapOps {
+		if op.field == field && op.method == method {
+			return true
+		}
+	}
+	return false
 }
 
 func (sf *shardflowPass) drainCallIndex(call *ast.CallExpr) ast.Expr {
@@ -204,8 +223,8 @@ func (sf *shardflowPass) drainCallIndex(call *ast.CallExpr) ast.Expr {
 	return ix
 }
 
-func (sf *shardflowPass) pushCallIndex(call *ast.CallExpr) ast.Expr {
-	ix, _ := sf.pushIndex(call)
+func (sf *shardflowPass) heapOpCallIndex(call *ast.CallExpr) ast.Expr {
+	ix, _ := sf.heapOpIndex(call)
 	return ix
 }
 
@@ -248,8 +267,8 @@ func (sf *shardflowPass) checkDrainDominated(fd *ast.FuncDecl, g *flow.Graph, do
 		return true
 	})
 	if !dominated {
-		sf.p.Reportf(call.Pos(), "drain of shard %s is not dominated by its detach (%s[%s] = -1); the eager cross-shard fixes in %s are only sound against a heap with the draining shard removed",
-			renderExpr(idx), sf.cfg.posField, renderExpr(idx), sf.cfg.pushMethod)
+		sf.p.Reportf(call.Pos(), "drain of shard %s is not dominated by its detach (%s[%s] = -1); the eager cross-shard fixes after heap mutations are only sound against a heap with the draining shard removed",
+			renderExpr(idx), sf.cfg.posField, renderExpr(idx))
 	}
 }
 

@@ -19,9 +19,25 @@ func (q *eventQueue) pop() event {
 	return ev
 }
 
+// transHeap mirrors the per-shard heap of pending transitions, at most
+// one per node.
+type transHeap struct{ ids []int32 }
+
+func (h *transHeap) set(node int, at float64, seq uint64) (oldAt float64, oldSeq uint64, had bool) {
+	_, _ = at, seq
+	h.ids = append(h.ids, int32(node))
+	return 0, 0, false
+}
+
+func (h *transHeap) remove(node int) (at float64, seq uint64, ok bool) {
+	_ = node
+	return 0, 0, len(h.ids) > 0
+}
+
 type shardRuntime struct {
 	id    int32
 	queue eventQueue
+	trans transHeap
 }
 
 type coordinator struct {
@@ -107,6 +123,32 @@ func (c *coordinator) pushEq(ev event) {
 		return
 	}
 	c.fix(s)
+}
+
+// cancel mirrors coordinator.cancel: delete the node's pending
+// transition in place, then repair its shard unless it is draining.
+func (c *coordinator) cancel(node int) {
+	s := c.shardOf[node]
+	c.shards[s].trans.remove(node)
+	if s != c.current {
+		c.fix(s)
+	}
+}
+
+// schedule mirrors coordinator.scheduleTransition: set (or replace in
+// place) the node's transition, then repair a foreign shard; a node that
+// gets no timer is cancelled instead.
+func (c *coordinator) schedule(node int, at float64) {
+	if at < 0 {
+		c.cancel(node)
+		return
+	}
+	s := c.shardOf[node]
+	c.shards[s].trans.set(node, at, c.seq)
+	if s != c.current {
+		c.crossed = true
+		c.fix(s)
+	}
 }
 
 // drainPanic: a panicking path carries no repair obligation.

@@ -19,9 +19,25 @@ func (q *eventQueue) pop() event {
 	return ev
 }
 
+// transHeap mirrors the per-shard heap of pending transitions, at most
+// one per node.
+type transHeap struct{ ids []int32 }
+
+func (h *transHeap) set(node int, at float64, seq uint64) (oldAt float64, oldSeq uint64, had bool) {
+	_, _ = at, seq
+	h.ids = append(h.ids, int32(node))
+	return 0, 0, false
+}
+
+func (h *transHeap) remove(node int) (at float64, seq uint64, ok bool) {
+	_ = node
+	return 0, 0, len(h.ids) > 0
+}
+
 type shardRuntime struct {
 	id    int32
 	queue eventQueue
+	trans transHeap
 	owner *coordinator
 	cache []float64
 }
@@ -86,6 +102,31 @@ func (c *coordinator) pushPartialFix(ev event, urgent bool) {
 	c.shards[s].queue.push(ev) // want shardflow
 	if urgent {
 		c.fix(s)
+	}
+}
+
+// scheduleNoFix sets a node's transition into its shard's heap
+// without repairing that shard's heap position.
+func (c *coordinator) scheduleNoFix(node int, at float64) {
+	s := c.shardOf[node]
+	c.shards[s].trans.set(node, at, c.seq) // want shardflow
+}
+
+// cancelNoFix deletes a node's pending transition in place but leaves a
+// foreign shard's heap position stale: a cancel can raise its head.
+func (c *coordinator) cancelNoFix(node int) {
+	s := c.shardOf[node]
+	if _, _, ok := c.shards[s].trans.remove(node); ok { // want shardflow
+		c.crossed = true
+	}
+}
+
+// cancelFixesWrongShard repairs some other shard after the cancel.
+func (c *coordinator) cancelFixesWrongShard(node int, o int32) {
+	s := c.shardOf[node]
+	c.shards[s].trans.remove(node) // want shardflow
+	if s != c.current {
+		c.fix(o)
 	}
 }
 

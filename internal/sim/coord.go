@@ -1,15 +1,18 @@
 // The event engine. Every run goes through the coordinator: it
 // partitions nodes into spatial shards (internal/topology's Partition;
 // a clique, or any topology below autoShardMinN nodes, is one shard),
-// gives each shard its own event heap, and keeps node state in flat
+// gives each shard its own event heaps, and keeps node state in flat
 // per-node arrays — every dispatch-path scalar packed into one cache
-// line per node — so the per-event working set is dense. Dispatch
-// order is one global (time, key) order: the coordinator maintains an
-// indexed min-heap over shard queue heads and lets the leading shard
-// drain a run of events conservatively bounded by the earliest event of
-// any other shard (the lookahead bound), resynchronizing whenever an
-// event pushes across a shard boundary. With one shard the bound is
-// infinite and the whole run is a single batch over one heap. Because
+// line per node — so the per-event working set is dense. Each node has
+// at most one pending transition, held in its shard's indexed
+// transition heap: a resample replaces it in place and a freeze or
+// crash cancels it there, so superseded transitions never linger in a
+// heap. Dispatch order is one global (time, key) order: the coordinator
+// maintains an indexed min-heap over shard heads and lets the leading
+// shard drain a run of events conservatively bounded by the earliest
+// event of any other shard (the lookahead bound), resynchronizing
+// whenever an event pushes across a shard boundary. With one shard the
+// bound is infinite and the whole run is a single batch. Because
 // the dispatch order, the per-node RNG streams, and the
 // content-derived event keys do not depend on the partition, results
 // are byte-identical by construction — for any shard count, and at any
@@ -60,10 +63,11 @@ type coordinator struct {
 
 	// order is an indexed binary min-heap of shard ids keyed by each
 	// shard's earliest event (at, seq); pos[s] is shard s's position in
-	// order, -1 while its queue is empty or while it is the detached
+	// order, -1 while its heaps are empty or while it is the detached
 	// current shard. The draining shard is removed from the heap for the
 	// duration of its batch, so the heap stays fully valid and every
-	// cross-shard push can repair its target's position immediately.
+	// cross-shard push or cancel can repair its target's position
+	// immediately.
 	order   []int32
 	pos     []int32
 	current int32 // shard being drained; pushes elsewhere set crossed
@@ -108,7 +112,7 @@ type coordinator struct {
 
 	// headAt/headSeq cache each shard's earliest-event key. shardLess
 	// reads these two dense arrays (hot in cache at any shard count)
-	// instead of chasing into per-shard queue storage; fix refreshes a
+	// instead of chasing into per-shard heap storage; fix refreshes a
 	// shard's entry whenever its head may have changed.
 	headAt  []float64
 	headSeq []uint64
@@ -135,18 +139,13 @@ type coordinator struct {
 }
 
 // nodeHot packs one node's dispatch-path state into a single 64-byte
-// cache line. Booleans are bits of flags; the transition version is 32
-// bits here (the event struct keeps 64 — the coordinator casts, and a
-// version cannot realistically wrap within one transition's lifetime
-// since wrapping would take 2^32 re-schedules of one node while its
-// event is in flight).
+// cache line. Booleans are bits of flags.
 type nodeHot struct {
 	lastUpdate   float64
 	lastBurstEnd float64
 	// lamport is the node's logical clock for the canonical event order;
-	// see coordinator.push for the key construction.
+	// see coordinator.nextSeq for the key construction.
 	lamport    uint64
-	version    uint32
 	busy       int32 // transmitting neighbors (carrier sense)
 	burstCount int32
 	// listeningTo counts the in-flight packets whose listener list holds
@@ -160,7 +159,7 @@ type nodeHot struct {
 	paramOf     int32 // index into coordinator.params; immutable
 	state       model.State
 	flags       uint8
-	_           [10]byte // pad to 64 bytes; see TestNodeHotSize
+	_           [14]byte // pad to 64 bytes; see TestNodeHotSize
 }
 
 // nodeHot flag bits.
@@ -215,8 +214,19 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 	part := topology.NewPartition(cfg.Topology, shards)
 	ns := part.Shards()
 	c.shards = make([]shardRuntime, ns)
+	owned := make([]int, ns)
+	for i := 0; i < n; i++ {
+		owned[part.ShardOf(i)]++
+	}
+	// One slot per node, shared by the shards' transition heaps; each heap
+	// is pre-sized to the nodes its shard owns, its exact bound.
+	slots := make([]transSlot, n)
+	for i := range slots {
+		slots[i].pos = -1
+	}
 	for s := range c.shards {
 		c.shards[s].id = int32(s)
+		c.shards[s].trans = transHeap{ids: make([]int32, 0, owned[s]), slots: slots}
 	}
 	c.order = make([]int32, 0, ns)
 	c.pos = make([]int32, ns)
@@ -330,7 +340,7 @@ func (c *coordinator) start() {
 // earliest event, detach it from the heap, let it drain up to the
 // conservative lookahead bound (the earliest event of any other shard —
 // the root of the remaining heap), and re-attach it. It returns false
-// once every queue is empty or the horizon was reached.
+// once every shard is empty or the horizon was reached.
 func (c *coordinator) step() bool {
 	if c.done || len(c.order) == 0 {
 		return false
@@ -356,7 +366,7 @@ func (c *coordinator) step() bool {
 		boundAt, boundSeq = c.headAt[b], c.headSeq[b]
 	}
 	c.shards[s].run(c, boundAt, boundSeq)
-	c.fix(s) // re-attach; a no-op if the batch drained the queue
+	c.fix(s) // re-attach; a no-op if the batch drained the shard
 	return !c.done
 }
 
@@ -387,9 +397,7 @@ func (c *coordinator) dispatch(ev event) {
 	}
 	switch ev.kind {
 	case evTransition:
-		if uint32(ev.version) == c.hot[ev.node].version {
-			c.handleTransition(ev.node)
-		} // else stale: dropped
+		c.handleTransition(ev.node)
 	case evPacketEnd:
 		c.handlePacketEnd(ev.node)
 	case evTick:
@@ -399,9 +407,8 @@ func (c *coordinator) dispatch(ev event) {
 	}
 }
 
-// push assigns the event its canonical content-derived key and
-// enqueues it on its node's shard, repairing that shard's heap position
-// eagerly when it is not the one draining.
+// nextSeq advances node i's Lamport clock and returns the canonical
+// content-derived key of the event being scheduled for it.
 //
 // The key is seq = l << shift | node, where l = max(lamport[node],
 // curLamport) + 1 and curLamport is the clock of the event being
@@ -410,16 +417,23 @@ func (c *coordinator) dispatch(ev event) {
 // because the key is derived from event content rather than from a
 // global push counter — the key of every event is independent of the
 // dispatch schedule that produced it. See DESIGN.md §9.
-func (c *coordinator) push(ev event) {
-	h := &c.hot[ev.node]
+func (c *coordinator) nextSeq(i int) uint64 {
+	h := &c.hot[i]
 	l := h.lamport
 	if c.curLamport > l {
 		l = c.curLamport
 	}
 	l++
 	h.lamport = l
-	ev.seq = l<<c.shift | uint64(ev.node)
-	s := h.shardOf
+	return l<<c.shift | uint64(i)
+}
+
+// push keys the event (nextSeq) and enqueues it on its node's shard,
+// repairing that shard's heap position eagerly when it is not the one
+// draining.
+func (c *coordinator) push(ev event) {
+	ev.seq = c.nextSeq(ev.node)
+	s := c.hot[ev.node].shardOf
 	c.shards[s].queue.push(ev)
 	if s != c.current {
 		c.crossed = true
@@ -436,14 +450,15 @@ func (c *coordinator) shardLess(a, b int32) bool {
 	return c.headSeq[a] < c.headSeq[b]
 }
 
-// fix restores shard s's position in the indexed heap after its queue
-// head changed (or the queue emptied or became non-empty), refreshing
-// its cached head key first. Sound only when every other heap entry is
-// clean — guaranteed because the draining shard is detached and every
-// cross-shard push fixes its target immediately.
+// fix restores shard s's position in the indexed heap after its head
+// may have changed (or the shard emptied or became non-empty),
+// refreshing its cached head key first. Sound only when every other
+// heap entry is clean — guaranteed because the draining shard is
+// detached and every cross-shard push, set or cancel fixes its target
+// immediately.
 func (c *coordinator) fix(s int32) {
 	i := c.pos[s]
-	at, seq, ok := c.shards[s].headKey()
+	at, seq, _, ok := c.shards[s].head()
 	if !ok {
 		if i < 0 {
 			return
@@ -539,8 +554,39 @@ func (c *coordinator) accrue(i int) {
 	}
 }
 
-// bump invalidates node i's pending transition event.
-func (c *coordinator) bump(i int) { c.hot[i].version++ }
+// cancel deletes node i's pending transition, if any, from its shard's
+// transition heap in place. A cancel on a foreign shard can only raise
+// that shard's head, which leaves the drain's lookahead bound
+// conservative, so unlike a push it does not end the batch; it still
+// repairs the shard's heap position (a no-op when nothing was pending).
+func (c *coordinator) cancel(i int) {
+	s := c.hot[i].shardOf
+	if at, seq, ok := c.shards[s].trans.remove(i); ok {
+		c.retire(s, i, at, seq)
+	}
+	if s != c.current {
+		c.fix(s)
+	}
+}
+
+// retire accounts for node i's superseded transition (at, seq), just
+// cancelled or replaced in shard s. One due within the horizon still
+// counts in Metrics.Events. Occupancy-tracking runs re-queue it instead,
+// as an evStale marker under the same key: Occupancy accrues at every
+// dispatched event, so its float sums keep their accrual points.
+func (c *coordinator) retire(s int32, i int, at float64, seq uint64) {
+	if at > c.horizon {
+		return
+	}
+	if !c.cfg.TrackOccupancy {
+		c.met.Events++
+		return
+	}
+	c.shards[s].queue.push(event{at: at, seq: seq, kind: evStale, node: i})
+	if s != c.current {
+		c.fix(s)
+	}
+}
 
 // active reports whether node i participates at time t: present under
 // the churn schedule (if any) and alive under the fault schedule. Both
@@ -625,19 +671,39 @@ func (c *coordinator) listenEstimate(i int) float64 {
 }
 
 // scheduleTransition samples node i's next state transition from its
-// current rates and pushes it. Transmitting nodes are packet-driven and
-// get no timer.
+// current rates and makes it the node's one pending transition,
+// replacing the one it supersedes in place. A node without a timer
+// (transmitting, depleted, absent, or frozen by a busy carrier) has its
+// pending transition cancelled instead.
 func (c *coordinator) scheduleTransition(i int) {
-	c.bump(i)
-	h := &c.hot[i]
-	if h.state == model.Transmit {
+	dwell, ok := c.sampleDwell(i)
+	if !ok {
+		c.cancel(i)
 		return
 	}
+	s := c.hot[i].shardOf
+	if at, seq, had := c.shards[s].trans.set(i, c.now+dwell, c.nextSeq(i)); had {
+		c.retire(s, i, at, seq)
+	}
+	if s != c.current {
+		c.crossed = true
+		c.fix(s)
+	}
+}
+
+// sampleDwell draws node i's holding time in its current state from the
+// eq. (18) rates; ok is false when the node gets no timer. Transmitting
+// nodes are packet-driven.
+func (c *coordinator) sampleDwell(i int) (dwell float64, ok bool) {
+	h := &c.hot[i]
+	if h.state == model.Transmit {
+		return 0, false
+	}
 	if c.cfg.HardBatteryFloor && h.state == model.Sleep && c.cores[i].Depleted() {
-		return // stays asleep until a tick finds the battery recovered
+		return 0, false // stays asleep until a tick finds the battery recovered
 	}
 	if !c.active(i, c.now) {
-		return // absent or crashed: re-checked at the next tick / restart
+		return 0, false // absent or crashed: re-checked at the next tick / restart
 	}
 	carrierFree := h.busy == 0
 	est := 0.0
@@ -653,21 +719,16 @@ func (c *coordinator) scheduleTransition(i int) {
 		total = toSleep + toTransmit
 	}
 	if total <= 0 {
-		return
+		return 0, false
 	}
-	dwell := c.rngs[i].Exp(total)
+	dwell = c.rngs[i].Exp(total)
 	if h.state == model.Sleep {
 		// Sleep intervals are timed by the node's low-power clock, which
 		// the drift fault scales; listen/transmit timing runs off the
 		// (accurate) active-mode clock, as on the testbed hardware.
 		dwell *= c.flt.Drift(i)
 	}
-	c.push(event{
-		at:      c.now + dwell,
-		kind:    evTransition,
-		node:    i,
-		version: uint64(h.version),
-	})
+	return dwell, true
 }
 
 // handleTransition fires node i's sampled transition.
@@ -723,7 +784,7 @@ func (c *coordinator) startTransmission(i int) {
 	}
 	c.flushBurst(i)
 	c.setState(i, model.Transmit)
-	c.bump(i) // no timer while transmitting
+	c.cancel(i) // no timer while transmitting
 	c.onListenSetChanged(i)
 	// Occupy the channel: each neighbor gains one transmitting neighbor.
 	// Hidden-terminal collisions ride the same pass: a neighbor j sitting
@@ -849,7 +910,7 @@ func (c *coordinator) handlePacketEnd(i int) {
 				c.flushBurst(j)
 				c.setState(j, model.Sleep)
 				c.hot[j].set(fSleptSince)
-				c.bump(j)
+				c.cancel(j)
 				c.onListenSetChanged(j)
 			}
 		}
@@ -902,7 +963,7 @@ func (c *coordinator) handleTick(i int, tau float64) {
 		c.flushBurst(i)
 		c.setState(i, model.Sleep)
 		c.hot[i].set(fSleptSince)
-		c.bump(i)
+		c.cancel(i)
 		c.onListenSetChanged(i)
 	}
 	if c.cfg.OnTick != nil {
@@ -941,7 +1002,7 @@ func (c *coordinator) handleFault(i int) {
 			hi.clear(fPktActive)
 		}
 		c.setState(i, model.Sleep)
-		c.bump(i)
+		c.cancel(i)
 		for _, j := range c.nbr[i] {
 			h := &c.hot[j]
 			h.busy--
@@ -954,10 +1015,10 @@ func (c *coordinator) handleFault(i int) {
 		c.flushBurst(i)
 		c.setState(i, model.Sleep)
 		c.hot[i].set(fSleptSince)
-		c.bump(i)
+		c.cancel(i)
 		c.onListenSetChanged(i)
 	default:
-		c.bump(i) // cancel any pending wake-up; stays down until restart
+		c.cancel(i) // any pending wake-up; stays down until restart
 	}
 }
 

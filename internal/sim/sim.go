@@ -231,9 +231,13 @@ type Metrics struct {
 	Groupput float64 // fraction of time spent on per-receiver delivery
 	Anyput   float64 // fraction of time spent on >=1-receiver delivery
 
-	// Events counts discrete events dispatched over the whole run
-	// (including warmup); identical at every shard and worker count, and
-	// the denominator of the events/sec scale benchmarks.
+	// Events counts discrete events scheduled within the horizon over the
+	// whole run (including warmup): every dispatched event plus every
+	// transition cancelled before it came due (a resample, freeze or
+	// crash superseded it), so the count, and events/s with it, does not
+	// depend on how superseded transitions are discarded. Identical at
+	// every shard and worker count, and the denominator of the
+	// events/sec scale benchmarks.
 	Events int
 
 	PacketsSent        int // packets transmitted
@@ -265,17 +269,18 @@ const (
 	evPacketEnd         // end of the current unit packet
 	evTick              // multiplier / battery bookkeeping tick
 	evFault             // fault-schedule boundary (crash/brownout/silence edge)
+	evStale             // superseded transition kept as an occupancy accrual point (see coordinator.retire)
 )
 
 type event struct {
-	at      float64
-	seq     uint64 // Lamport tie-break key (see coordinator.push)
-	kind    int
-	node    int
-	version uint64 // transition version; stale events are dropped
+	at   float64
+	seq  uint64 // Lamport tie-break key (see coordinator.nextSeq)
+	kind int
+	node int
 }
 
-// eventQueue is a binary min-heap over event values ordered by (at, seq),
+// eventQueue is a binary min-heap over event values ordered by (at, seq)
+// — the shard heap for every event kind but transitions (see transHeap),
 // with sift-up/sift-down written directly against the slice. It
 // deliberately does not use container/heap: heap.Push and heap.Pop box
 // every event through interface{}, which allocates on each of the
