@@ -103,6 +103,13 @@ type coordinator struct {
 	params  []econcast.Params
 	harvest []func(float64) float64
 
+	// memo caches each node's eta-only rates per multiplier epoch (see
+	// rateMemo); contProb[p][k] is parameter block p's EconCast-C
+	// continue probability for an estimate of k listeners, for every k up
+	// to the maximum degree.
+	memo     []rateMemo
+	contProb [][]float64
+
 	// nbr[i] is node i's neighbor set (precomputed, sorted), and
 	// pktListeners[i] the listener list of node i's packet slot. Each is
 	// a window of one contiguous slab with capacity deg(i); listeners are
@@ -162,6 +169,18 @@ type nodeHot struct {
 	_           [14]byte // pad to 64 bytes; see TestNodeHotSize
 }
 
+// rateMemo caches the carrier-free rates of one node that depend on its
+// multiplier alone: sleep->listen (s2l) and the Capture listen->transmit
+// rate (l2x). Each is valid while its epoch equals the node's
+// Core.Updates()+1, so the zero value is never valid. Eta changes only
+// in a multiplier update (WarmEta is applied before the first sample),
+// and the memo is filled by the very Core methods it stands in for, so
+// the cached rates are bit-identical to fresh evaluations.
+type rateMemo struct {
+	sEpoch, lEpoch int64
+	s2l, l2x       float64
+}
+
 // nodeHot flag bits.
 const (
 	fHasBurst uint8 = 1 << iota
@@ -199,6 +218,7 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 		hot:     make([]nodeHot, n),
 		cores:   make([]econcast.Core, n),
 		harvest: make([]func(float64) float64, n),
+		memo:    make([]rateMemo, n),
 
 		nbr:          make([][]int, n),
 		pktListeners: make([][]int, n),
@@ -218,15 +238,15 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 	for i := 0; i < n; i++ {
 		owned[part.ShardOf(i)]++
 	}
-	// One slot per node, shared by the shards' transition heaps; each heap
-	// is pre-sized to the nodes its shard owns, its exact bound.
-	slots := make([]transSlot, n)
-	for i := range slots {
-		slots[i].pos = -1
+	// One heap position per node, shared by the shards' transition heaps;
+	// each heap is pre-sized to the nodes its shard owns, its exact bound.
+	tpos := make([]int32, n)
+	for i := range tpos {
+		tpos[i] = -1
 	}
 	for s := range c.shards {
 		c.shards[s].id = int32(s)
-		c.shards[s].trans = transHeap{ids: make([]int32, 0, owned[s]), slots: slots}
+		c.shards[s].trans = transHeap{keys: make([]transKey, 0, owned[s]), pos: tpos, mask: 1<<c.shift - 1}
 	}
 	c.order = make([]int32, 0, ns)
 	c.pos = make([]int32, ns)
@@ -236,9 +256,11 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 		c.pos[s] = -1
 	}
 	c.current = -1
-	degSum := 0
+	degSum, maxDeg := 0, 0
 	for i := 0; i < n; i++ {
-		degSum += c.topo.Degree(i)
+		d := c.topo.Degree(i)
+		degSum += d
+		maxDeg = max(maxDeg, d)
 	}
 	nbrSlab := make([]int, degSum)
 	lstSlab := make([]int, degSum)
@@ -304,6 +326,18 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 		if cfg.WarmEta != nil {
 			p0 := math.Max(nd.ListenPower, nd.TransmitPower)
 			c.cores[i].Eta = cfg.WarmEta[i] * p0
+		}
+	}
+	// A transmitter's listener count never exceeds its degree, so the
+	// continue probability is tabulated up to the maximum degree; only a
+	// noisy EstimateListeners count can fall past the table.
+	var core econcast.Core
+	c.contProb = make([][]float64, len(c.params))
+	for b := range c.params {
+		par := &c.params[b]
+		c.contProb[b] = make([]float64, maxDeg+1)
+		for k := range c.contProb[b] {
+			c.contProb[b][k] = core.ContinueTransmitProb(par, par.Estimate(k))
 		}
 	}
 	return c
@@ -561,8 +595,8 @@ func (c *coordinator) accrue(i int) {
 // repairs the shard's heap position (a no-op when nothing was pending).
 func (c *coordinator) cancel(i int) {
 	s := c.hot[i].shardOf
-	if at, seq, ok := c.shards[s].trans.remove(i); ok {
-		c.retire(s, i, at, seq)
+	if k, ok := c.shards[s].trans.remove(i); ok {
+		c.retire(s, i, k.at, k.seq)
 	}
 	if s != c.current {
 		c.fix(s)
@@ -645,16 +679,26 @@ func (c *coordinator) logf(format string, args ...any) {
 	}
 }
 
-// estimateFor returns the transmitter-side listener estimate for count
-// successful receivers, applying the configured noise hook.
-func (c *coordinator) estimateFor(i, count int) float64 {
+// observedCount returns the listener count node i observes for count
+// actual listeners, applying the configured noise hook.
+func (c *coordinator) observedCount(i, count int) int {
 	if c.cfg.EstimateListeners != nil {
 		count = c.cfg.EstimateListeners(count, &c.rngs[i])
 		if count < 0 {
 			count = 0
 		}
 	}
-	return c.pr(i).Estimate(count)
+	return count
+}
+
+// continueProb returns transmitter i's probability of holding the
+// channel for another packet after count successful receptions.
+func (c *coordinator) continueProb(i, count int) float64 {
+	count = c.observedCount(i, count)
+	if tbl := c.contProb[c.hot[i].paramOf]; count < len(tbl) {
+		return tbl[count]
+	}
+	return c.cores[i].ContinueTransmitProb(c.pr(i), c.pr(i).Estimate(count))
 }
 
 // listenEstimate is the continuous listener estimate used by the
@@ -667,7 +711,43 @@ func (c *coordinator) listenEstimate(i int) float64 {
 			count++
 		}
 	}
-	return c.estimateFor(i, count)
+	return c.pr(i).Estimate(c.observedCount(i, count))
+}
+
+// sleepToListen returns node i's eq. (18) sleep->listen rate, zero under
+// a busy carrier.
+func (c *coordinator) sleepToListen(i int) float64 {
+	if c.hot[i].busy != 0 {
+		return 0
+	}
+	m := &c.memo[i]
+	if e := int64(c.cores[i].Updates()) + 1; m.sEpoch != e {
+		m.s2l = c.cores[i].SleepToListen(c.pr(i), true)
+		m.sEpoch = e
+	}
+	return m.s2l
+}
+
+// listenRates returns node i's eq. (18) listen->sleep and
+// listen->transmit rates, zeros under a busy carrier. The Capture rates
+// come from the memo; the non-capture rate depends on the listener
+// estimate, so it is evaluated afresh, and its estimate is drawn even
+// under a busy carrier (the noise hook consumes the node's stream).
+func (c *coordinator) listenRates(i int) (toSleep, toTransmit float64) {
+	carrierFree := c.hot[i].busy == 0
+	p := c.pr(i)
+	if p.Variant == econcast.NonCapture {
+		return c.cores[i].ListenRates(p, carrierFree, c.listenEstimate(i))
+	}
+	if !carrierFree {
+		return 0, 0
+	}
+	m := &c.memo[i]
+	if e := int64(c.cores[i].Updates()) + 1; m.lEpoch != e {
+		_, m.l2x = c.cores[i].ListenRates(p, true, 0)
+		m.lEpoch = e
+	}
+	return 1 / p.PacketTime, m.l2x
 }
 
 // scheduleTransition samples node i's next state transition from its
@@ -682,8 +762,8 @@ func (c *coordinator) scheduleTransition(i int) {
 		return
 	}
 	s := c.hot[i].shardOf
-	if at, seq, had := c.shards[s].trans.set(i, c.now+dwell, c.nextSeq(i)); had {
-		c.retire(s, i, at, seq)
+	if old, had := c.shards[s].trans.set(i, c.now+dwell, c.nextSeq(i)); had {
+		c.retire(s, i, old.at, old.seq)
 	}
 	if s != c.current {
 		c.crossed = true
@@ -705,17 +785,12 @@ func (c *coordinator) sampleDwell(i int) (dwell float64, ok bool) {
 	if !c.active(i, c.now) {
 		return 0, false // absent or crashed: re-checked at the next tick / restart
 	}
-	carrierFree := h.busy == 0
-	est := 0.0
-	if c.cfg.Protocol.Variant == econcast.NonCapture && h.state == model.Listen {
-		est = c.listenEstimate(i)
-	}
 	var total float64
 	switch h.state {
 	case model.Sleep:
-		total = c.cores[i].SleepToListen(c.pr(i), carrierFree)
+		total = c.sleepToListen(i)
 	case model.Listen:
-		toSleep, toTransmit := c.cores[i].ListenRates(c.pr(i), carrierFree, est)
+		toSleep, toTransmit := c.listenRates(i)
 		total = toSleep + toTransmit
 	}
 	if total <= 0 {
@@ -740,12 +815,7 @@ func (c *coordinator) handleTransition(i int) {
 		c.onListenSetChanged(i)
 		c.scheduleTransition(i)
 	case model.Listen:
-		carrierFree := c.hot[i].busy == 0
-		est := 0.0
-		if c.cfg.Protocol.Variant == econcast.NonCapture {
-			est = c.listenEstimate(i)
-		}
-		toSleep, toTransmit := c.cores[i].ListenRates(c.pr(i), carrierFree, est)
+		toSleep, toTransmit := c.listenRates(i)
 		total := toSleep + toTransmit
 		if total <= 0 {
 			return
@@ -919,8 +989,7 @@ func (c *coordinator) handlePacketEnd(i int) {
 	// Decide whether to hold the channel (EconCast-C) or release; a
 	// depleted transmitter must release regardless.
 	c.accrue(i)
-	est := c.estimateFor(i, success)
-	cont := c.cores[i].ContinueTransmitProb(c.pr(i), est)
+	cont := c.continueProb(i, success)
 	forced := c.cfg.HardBatteryFloor && c.cores[i].Depleted()
 	if !c.active(i, c.now) {
 		forced = true // departed or crashed: release the channel now

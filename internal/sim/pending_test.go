@@ -62,8 +62,8 @@ func TestPendingEventsBounded(t *testing.T) {
 			check := func() {
 				for s := range c.shards {
 					sh := &c.shards[s]
-					if len(sh.trans.ids) > owned[s] {
-						t.Fatalf("shard %d: %d pending transitions for %d nodes", s, len(sh.trans.ids), owned[s])
+					if len(sh.trans.keys) > owned[s] {
+						t.Fatalf("shard %d: %d pending transitions for %d nodes", s, len(sh.trans.keys), owned[s])
 					}
 					if len(sh.queue) > 2*owned[s]+bounds[s] {
 						t.Fatalf("shard %d: %d queued events for %d nodes and %d fault boundaries",
@@ -74,10 +74,10 @@ func TestPendingEventsBounded(t *testing.T) {
 					}
 					// Only the drained shard pops; a foreign shard's heap
 					// shrinks only through a cancel.
-					if int32(s) != c.current && len(sh.trans.ids) < prev[s] {
+					if int32(s) != c.current && len(sh.trans.keys) < prev[s] {
 						foreignCancels++
 					}
-					prev[s] = len(sh.trans.ids)
+					prev[s] = len(sh.trans.keys)
 				}
 			}
 			c.start()

@@ -17,9 +17,9 @@ type shardRuntime struct {
 // the pending transition at the root of trans rather than the queue
 // head. Keys are unique, so the two heads never tie.
 func (s *shardRuntime) head() (at float64, seq uint64, fromTrans, ok bool) {
-	if len(s.trans.ids) > 0 {
-		sl := &s.trans.slots[s.trans.ids[0]]
-		at, seq, fromTrans, ok = sl.at, sl.seq, true, true
+	if len(s.trans.keys) > 0 {
+		k := &s.trans.keys[0]
+		at, seq, fromTrans, ok = k.at, k.seq, true, true
 	}
 	if len(s.queue) > 0 && (!ok || keyLess(s.queue[0].at, s.queue[0].seq, at, seq)) {
 		return s.queue[0].at, s.queue[0].seq, false, true
@@ -64,7 +64,7 @@ func (s *shardRuntime) run(c *coordinator, boundAt float64, boundSeq uint64) {
 			return
 		}
 		if fromTrans {
-			node := int(s.trans.ids[0])
+			node := int(seq & s.trans.mask)
 			s.trans.remove(node)
 			c.dispatch(event{at: at, seq: seq, kind: evTransition, node: node})
 		} else {
@@ -80,75 +80,75 @@ func (s *shardRuntime) run(c *coordinator, boundAt float64, boundSeq uint64) {
 	}
 }
 
-// transSlot is one node's pending transition: its key and its position
-// in the owning shard's transition heap, -1 when none is pending.
-type transSlot struct {
+// transKey is one pending transition's event key. The node id is the
+// low bits of seq (see coordinator.nextSeq), so the heap stores keys
+// inline and needs no per-entry node field.
+type transKey struct {
 	at  float64
 	seq uint64
-	pos int32
 }
 
-// transHeap is an indexed binary min-heap of node ids ordered by each
-// node's transition slot. A node has at most one pending transition: a
-// resample replaces it in place (set) and a cancel deletes it (remove),
-// so the heap never holds more entries than the shard owns nodes. slots is
-// indexed by node id and shared by every shard's heap; each node belongs
-// to exactly one shard, so the shards touch disjoint entries.
+// transHeap is an indexed binary min-heap of pending transitions, at
+// most one per node: a resample replaces a node's key in place (set) and
+// a cancel deletes it (remove), so the heap never holds more entries
+// than the shard owns nodes. pos[node] is the node's position in keys,
+// -1 when none is pending; pos is indexed by node id and shared by every
+// shard's heap, and each node belongs to exactly one shard, so the
+// shards touch disjoint entries. mask extracts the node id from a key.
 type transHeap struct {
-	ids   []int32
-	slots []transSlot
+	keys []transKey
+	pos  []int32
+	mask uint64
 }
 
 func (h *transHeap) less(i, j int) bool {
-	a, b := &h.slots[h.ids[i]], &h.slots[h.ids[j]]
+	a, b := &h.keys[i], &h.keys[j]
 	return keyLess(a.at, a.seq, b.at, b.seq)
 }
 
 func (h *transHeap) swap(i, j int) {
-	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-	h.slots[h.ids[i]].pos = int32(i)
-	h.slots[h.ids[j]].pos = int32(j)
+	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
+	h.pos[h.keys[i].seq&h.mask] = int32(i)
+	h.pos[h.keys[j].seq&h.mask] = int32(j)
 }
 
 // set makes (at, seq) node's pending transition. A transition it
 // already had is replaced in place, and its key returned with had set.
-func (h *transHeap) set(node int, at float64, seq uint64) (oldAt float64, oldSeq uint64, had bool) {
-	sl := &h.slots[node]
-	if i := int(sl.pos); i >= 0 {
-		oldAt, oldSeq = sl.at, sl.seq
-		sl.at, sl.seq = at, seq
+func (h *transHeap) set(node int, at float64, seq uint64) (old transKey, had bool) {
+	if i := int(h.pos[node]); i >= 0 {
+		old = h.keys[i]
+		h.keys[i] = transKey{at: at, seq: seq}
 		if !h.up(i) {
 			h.down(i)
 		}
-		return oldAt, oldSeq, true
+		return old, true
 	}
-	*sl = transSlot{at: at, seq: seq, pos: int32(len(h.ids))}
-	h.ids = append(h.ids, int32(node)) //lint:allow hotalloc pre-sized to the shard's node count, which bounds the heap
-	h.up(len(h.ids) - 1)
-	return 0, 0, false
+	h.pos[node] = int32(len(h.keys))
+	h.keys = append(h.keys, transKey{at: at, seq: seq}) //lint:allow hotalloc pre-sized to the shard's node count, which bounds the heap
+	h.up(len(h.keys) - 1)
+	return transKey{}, false
 }
 
 // remove deletes node's pending transition and returns its key; ok is
 // false when the node has none.
-func (h *transHeap) remove(node int) (at float64, seq uint64, ok bool) {
-	sl := &h.slots[node]
-	i := int(sl.pos)
+func (h *transHeap) remove(node int) (k transKey, ok bool) {
+	i := int(h.pos[node])
 	if i < 0 {
-		return 0, 0, false
+		return transKey{}, false
 	}
-	at, seq = sl.at, sl.seq
-	sl.pos = -1
-	last := len(h.ids) - 1
-	moved := h.ids[last]
-	h.ids = h.ids[:last]
+	k = h.keys[i]
+	h.pos[node] = -1
+	last := len(h.keys) - 1
+	moved := h.keys[last]
+	h.keys = h.keys[:last]
 	if i < last {
-		h.ids[i] = moved
-		h.slots[moved].pos = int32(i)
+		h.keys[i] = moved
+		h.pos[moved.seq&h.mask] = int32(i)
 		if !h.up(i) {
 			h.down(i)
 		}
 	}
-	return at, seq, true
+	return k, true
 }
 
 // up sifts the entry at position i toward the root and reports whether
@@ -167,7 +167,7 @@ func (h *transHeap) up(i int) bool {
 }
 
 func (h *transHeap) down(i int) {
-	n := len(h.ids)
+	n := len(h.keys)
 	for {
 		child := 2*i + 1
 		if child >= n {
