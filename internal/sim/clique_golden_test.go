@@ -110,28 +110,28 @@ func digest(s string) string {
 }
 
 // cliqueGolden holds the sha256 of cliqueRecord's output for every
-// clique case. The digests were produced by the single-queue engine at
-// commit a8ba185, the last commit that had it, which ran every clique;
-// the coordinator matched them byte for byte on both the nil and the
-// explicit clique topology before that engine was deleted.
+// clique case. The digests were produced by the engine that suspends
+// frozen transitions instead of redrawing them, which changed every
+// sample path but not the law: internal/sim/conform compared it against
+// the redrawing engine before these replaced that engine's digests.
 var cliqueGolden = map[string]string{
-	"capture-groupput":       "a0811e68d9ca6c4c3da72e842b917cb51ad40da8a5bd2d7915959d5d4de6f4f6",
-	"capture-anyput":         "50c032bf120eeb22080c9cf5fa55ff3f260a148fdba040738e3f74e9228de20f",
-	"noncapture-groupput":    "071d7c38bcf1a25402f25db50c3f7e0d52e7b8cd8b6f3bb43e1190a2870d57d0",
-	"noncapture-anyput":      "0ab0f32052ad930a7bbfa887a404c46b33fe7b403e6150bde23d1c1f248aceec",
-	"estimate-listeners":     "fe864397a183b080d47c027c6415bf3a469a624c6e6c6a34e4ee1087f9074f66",
-	"occupancy":              "82c64d335ae6000c698496d42f66d9545b83b4ea410d21d5a3b719b1267a9cc1",
-	"hooks":                  "f1acffcf9e64afac1b834a650a40c84a36cc4a33efd80dbd424171ae94426337",
-	"churn":                  "f3b77059fa2e7a4a263929509f092e213d404cab149b4bf89c2fa76da37009d6",
-	"harvest":                "4f6525defefaaf113c1020769bbca0d1ccc15e8afb4c4b5e6627e91f5c1092d7",
-	"battery-floor":          "28d7b0d4700635d97efb61065c056a3c35bdae63a6c6a34807c27a847905f371",
-	"warm-frozen":            "712d376a2d6053f0b47adf7e36837b18e0cea9b0edbce0433bbe42f2ad05ade6",
-	"faults":                 "a63aa18749e399b481bef4519b8bac91f451c85921bb10aac9a27bd663b956ff",
-	"faults-noncapture-kill": "ad8c3d46f1e160a607b71b84bb7c3d354374db3bd7fc499713dc44ddf14abfa8",
+	"capture-groupput":       "f5ac57ac7d907b67d3811607929dde988f781ccceaf9c1163b96bae5b885ba06",
+	"capture-anyput":         "3309291f6f51e7075102357466f5d88a347af30491c295fa246f60b4de6db010",
+	"noncapture-groupput":    "87d7568ac9699be3214d7f9e364db86fb4550cc943f49e3ce891c19ffed86314",
+	"noncapture-anyput":      "0644af64d59377815e4b4bb75ab820537504053e75c0f5b7e2d3f5892409157f",
+	"estimate-listeners":     "c2d361182e5b731d67cf711f04208ae93d349c33d6464042062002311fa770f3",
+	"occupancy":              "4d64b1b916047dae9b3d54757bd3c10f25f2e277c591dfebb84d9d9be6d3a34d",
+	"hooks":                  "7bc3df6e56da9b52fc59ec8171d2bcc311c51490720f4d6b27aefde94eab89e5",
+	"churn":                  "ceb78da379919ef2ea8458f5f403a626194d3e66de19e935e8c6d2186d13d8a9",
+	"harvest":                "a695cf3f25b343256ea56f9e7402c307f42c4b73868864352b02fdda4f6691e7",
+	"battery-floor":          "8703ee8a7642ce2b377f9e68794ecd945af933e8f7daeb1238aa0b57cb9ace17",
+	"warm-frozen":            "aec1f6c27c678ca86fd243bc7af9282193bbcbd12531da1c27188aa3e1f75c38",
+	"faults":                 "560354c04c23ff46d381aa77673ae55fa5aa30e7350c335105beb81ba2cd0479",
+	"faults-noncapture-kill": "b8055543487f1ebddb4265126650827a3f564e5a844f521dc2e1c4b976d975ce",
 }
 
-// TestCliqueGolden pins clique output to the bytes the single-queue
-// engine produced before every serial run moved onto the coordinator.
+// TestCliqueGolden pins clique output on both the nil and the explicit
+// clique topology.
 func TestCliqueGolden(t *testing.T) {
 	for _, tc := range cliqueCases() {
 		t.Run(tc.name, func(t *testing.T) {

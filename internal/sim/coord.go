@@ -152,7 +152,10 @@ type nodeHot struct {
 	lastBurstEnd float64
 	// lamport is the node's logical clock for the canonical event order;
 	// see coordinator.nextSeq for the key construction.
-	lamport    uint64
+	lamport uint64
+	// resid is the residual dwell of a transition suspended by a carrier
+	// freeze, valid while fSuspended is set (see coordinator.freeze).
+	resid      float64
 	busy       int32 // transmitting neighbors (carrier sense)
 	burstCount int32
 	// listeningTo counts the in-flight packets whose listener list holds
@@ -166,7 +169,7 @@ type nodeHot struct {
 	paramOf     int32 // index into coordinator.params; immutable
 	state       model.State
 	flags       uint8
-	_           [14]byte // pad to 64 bytes; see TestNodeHotSize
+	_           [6]byte // pad to 64 bytes; see TestNodeHotSize
 }
 
 // rateMemo caches the carrier-free rates of one node that depend on its
@@ -189,6 +192,7 @@ const (
 	fWarmSnapped
 	fPktActive    // the node's packet slot holds an in-flight packet
 	fPktDelivered // the slot's current hold reached at least one receiver
+	fSuspended    // a carrier freeze holds the node's transition in resid
 )
 
 func (h *nodeHot) has(f uint8) bool { return h.flags&f != 0 }
@@ -418,7 +422,7 @@ func (c *coordinator) drain() {
 // dispatch realizes one event; the drain loop has already checked it
 // against the horizon.
 func (c *coordinator) dispatch(ev event) {
-	c.met.Events++
+	c.met.Events++ // dispatched events only; see Metrics.Events
 	if c.cfg.TrackOccupancy && c.measuring {
 		c.accrueOccupancy(ev.at)
 	}
@@ -589,37 +593,67 @@ func (c *coordinator) accrue(i int) {
 }
 
 // cancel deletes node i's pending transition, if any, from its shard's
-// transition heap in place. A cancel on a foreign shard can only raise
-// that shard's head, which leaves the drain's lookahead bound
-// conservative, so unlike a push it does not end the batch; it still
-// repairs the shard's heap position (a no-op when nothing was pending).
+// transition heap in place, and drops a suspended one. A cancel on a
+// foreign shard can only raise that shard's head, which leaves the
+// drain's lookahead bound conservative, so unlike a push it does not end
+// the batch; it still repairs the shard's heap position (a no-op when
+// nothing was pending).
 func (c *coordinator) cancel(i int) {
+	c.hot[i].clear(fSuspended)
 	s := c.hot[i].shardOf
+	c.shards[s].trans.remove(i)
+	if s != c.current {
+		c.fix(s)
+	}
+}
+
+// arm makes at node i's pending transition under a fresh key, replacing
+// any it had in place and dropping a suspended one.
+func (c *coordinator) arm(i int, at float64) {
+	c.hot[i].clear(fSuspended)
+	s := c.hot[i].shardOf
+	c.shards[s].trans.set(i, at, c.nextSeq(i))
+	if s != c.current {
+		c.crossed = true
+		c.fix(s)
+	}
+}
+
+// freeze stops node i's clock when its carrier turns busy. A node whose
+// rates depend on its multiplier alone (every sleeper, and every Capture
+// listener) keeps its residual dwell: its pending transition leaves the
+// heap and the time left on it is stored in resid. By memorylessness
+// that residual is still Exp(r) when the carrier frees up, as long as
+// the rate r is unchanged then, so unfreeze re-arms it without a draw.
+// Anything that may change the rate in between (a tick, a fault
+// boundary, a state change) goes through scheduleTransition or cancel,
+// which drop the suspension. A non-capture listener's rate depends on
+// the listener estimate, so it is resampled, which cancels it.
+func (c *coordinator) freeze(i int) {
+	h := &c.hot[i]
+	if h.state == model.Listen && c.cfg.Protocol.Variant == econcast.NonCapture {
+		c.scheduleTransition(i)
+		return
+	}
+	s := h.shardOf
 	if k, ok := c.shards[s].trans.remove(i); ok {
-		c.retire(s, i, k.at, k.seq)
+		h.resid = k.at - c.now
+		h.set(fSuspended)
 	}
 	if s != c.current {
 		c.fix(s)
 	}
 }
 
-// retire accounts for node i's superseded transition (at, seq), just
-// cancelled or replaced in shard s. One due within the horizon still
-// counts in Metrics.Events. Occupancy-tracking runs re-queue it instead,
-// as an evStale marker under the same key: Occupancy accrues at every
-// dispatched event, so its float sums keep their accrual points.
-func (c *coordinator) retire(s int32, i int, at float64, seq uint64) {
-	if at > c.horizon {
+// unfreeze restarts node i's clock when its carrier frees up: a
+// suspended transition is re-armed at now + resid if the node still
+// gets a timer at all, and anything else is sampled afresh.
+func (c *coordinator) unfreeze(i int) {
+	if c.hot[i].has(fSuspended) && c.timed(i) {
+		c.arm(i, c.now+c.hot[i].resid)
 		return
 	}
-	if !c.cfg.TrackOccupancy {
-		c.met.Events++
-		return
-	}
-	c.shards[s].queue.push(event{at: at, seq: seq, kind: evStale, node: i})
-	if s != c.current {
-		c.fix(s)
-	}
+	c.scheduleTransition(i)
 }
 
 // active reports whether node i participates at time t: present under
@@ -754,37 +788,39 @@ func (c *coordinator) listenRates(i int) (toSleep, toTransmit float64) {
 // current rates and makes it the node's one pending transition,
 // replacing the one it supersedes in place. A node without a timer
 // (transmitting, depleted, absent, or frozen by a busy carrier) has its
-// pending transition cancelled instead.
+// pending transition cancelled instead. Either way a suspended
+// transition is dropped.
 func (c *coordinator) scheduleTransition(i int) {
 	dwell, ok := c.sampleDwell(i)
 	if !ok {
 		c.cancel(i)
 		return
 	}
-	s := c.hot[i].shardOf
-	if old, had := c.shards[s].trans.set(i, c.now+dwell, c.nextSeq(i)); had {
-		c.retire(s, i, old.at, old.seq)
+	c.arm(i, c.now+dwell)
+}
+
+// timed reports whether node i gets a transition timer at all, rates
+// aside: transmitting nodes are packet-driven, a sleeper held by the
+// hard battery floor waits for a tick to find it recharged, and an
+// absent or crashed node is re-checked at its next tick or restart.
+func (c *coordinator) timed(i int) bool {
+	h := &c.hot[i]
+	if h.state == model.Transmit {
+		return false
 	}
-	if s != c.current {
-		c.crossed = true
-		c.fix(s)
+	if c.cfg.HardBatteryFloor && h.state == model.Sleep && c.cores[i].Depleted() {
+		return false
 	}
+	return c.active(i, c.now)
 }
 
 // sampleDwell draws node i's holding time in its current state from the
-// eq. (18) rates; ok is false when the node gets no timer. Transmitting
-// nodes are packet-driven.
+// eq. (18) rates; ok is false when the node gets no timer.
 func (c *coordinator) sampleDwell(i int) (dwell float64, ok bool) {
-	h := &c.hot[i]
-	if h.state == model.Transmit {
+	if !c.timed(i) {
 		return 0, false
 	}
-	if c.cfg.HardBatteryFloor && h.state == model.Sleep && c.cores[i].Depleted() {
-		return 0, false // stays asleep until a tick finds the battery recovered
-	}
-	if !c.active(i, c.now) {
-		return 0, false // absent or crashed: re-checked at the next tick / restart
-	}
+	h := &c.hot[i]
 	var total float64
 	switch h.state {
 	case model.Sleep:
@@ -867,8 +903,7 @@ func (c *coordinator) startTransmission(i int) {
 		h := &c.hot[j]
 		h.busy++
 		if h.busy == 1 && h.state != model.Transmit {
-			// Channel became busy for j: freeze by resampling (rates -> 0).
-			c.scheduleTransition(j)
+			c.freeze(j) // channel became busy for j
 		}
 		if h.listeningTo > 0 && !h.has(fCollidedInPkt) {
 			h.set(fCollidedInPkt)
@@ -1009,7 +1044,7 @@ func (c *coordinator) handlePacketEnd(i int) {
 		h := &c.hot[j]
 		h.busy--
 		if h.busy == 0 && h.state != model.Transmit {
-			c.scheduleTransition(j)
+			c.unfreeze(j)
 		}
 	}
 	c.onListenSetChanged(i)
@@ -1076,7 +1111,7 @@ func (c *coordinator) handleFault(i int) {
 			h := &c.hot[j]
 			h.busy--
 			if h.busy == 0 && h.state != model.Transmit {
-				c.scheduleTransition(j)
+				c.unfreeze(j)
 			}
 		}
 		c.onListenSetChanged(i)

@@ -6,9 +6,9 @@ package sim
 //lint:owner sim-engine the coordinator's event-loop goroutine owns all shard state
 type shardRuntime struct {
 	id int32
-	// queue holds packet ends, multiplier ticks, fault boundaries and
-	// (occupancy-tracking runs only) evStale markers; trans holds each
-	// owned node's pending transition, at most one per node.
+	// queue holds packet ends, multiplier ticks and fault boundaries;
+	// trans holds each owned node's pending transition, at most one per
+	// node.
 	queue eventQueue
 	trans transHeap
 }
@@ -112,21 +112,19 @@ func (h *transHeap) swap(i, j int) {
 	h.pos[h.keys[j].seq&h.mask] = int32(j)
 }
 
-// set makes (at, seq) node's pending transition. A transition it
-// already had is replaced in place, and its key returned with had set.
-func (h *transHeap) set(node int, at float64, seq uint64) (old transKey, had bool) {
+// set makes (at, seq) node's pending transition, replacing in place any
+// transition it already had.
+func (h *transHeap) set(node int, at float64, seq uint64) {
 	if i := int(h.pos[node]); i >= 0 {
-		old = h.keys[i]
 		h.keys[i] = transKey{at: at, seq: seq}
 		if !h.up(i) {
 			h.down(i)
 		}
-		return old, true
+		return
 	}
 	h.pos[node] = int32(len(h.keys))
 	h.keys = append(h.keys, transKey{at: at, seq: seq}) //lint:allow hotalloc pre-sized to the shard's node count, which bounds the heap
 	h.up(len(h.keys) - 1)
-	return transKey{}, false
 }
 
 // remove deletes node's pending transition and returns its key; ok is

@@ -231,13 +231,12 @@ type Metrics struct {
 	Groupput float64 // fraction of time spent on per-receiver delivery
 	Anyput   float64 // fraction of time spent on >=1-receiver delivery
 
-	// Events counts discrete events scheduled within the horizon over the
-	// whole run (including warmup): every dispatched event plus every
-	// transition cancelled before it came due (a resample, freeze or
-	// crash superseded it), so the count, and events/s with it, does not
-	// depend on how superseded transitions are discarded. Identical at
-	// every shard and worker count, and the denominator of the
-	// events/sec scale benchmarks.
+	// Events counts the events dispatched within the horizon over the
+	// whole run (including warmup): fired transitions, packet ends,
+	// multiplier ticks and fault boundaries. A transition cancelled or
+	// suspended before it came due is not an event. Identical at every
+	// shard and worker count, and the denominator of the events/sec
+	// scale benchmarks.
 	Events int
 
 	PacketsSent        int // packets transmitted
@@ -269,7 +268,6 @@ const (
 	evPacketEnd         // end of the current unit packet
 	evTick              // multiplier / battery bookkeeping tick
 	evFault             // fault-schedule boundary (crash/brownout/silence edge)
-	evStale             // superseded transition kept as an occupancy accrual point (see coordinator.retire)
 )
 
 type event struct {
