@@ -19,19 +19,26 @@ func (q *eventQueue) pop() event {
 	return ev
 }
 
-// transHeap mirrors the per-shard heap of pending transitions, at most
-// one per node.
-type transHeap struct{ ids []int32 }
-
-func (h *transHeap) set(node int, at float64, seq uint64) (oldAt float64, oldSeq uint64, had bool) {
-	_, _ = at, seq
-	h.ids = append(h.ids, int32(node))
-	return 0, 0, false
+// transKey and transHeap mirror the per-shard heap of pending
+// transitions, at most one per node, keyed inline.
+type transKey struct {
+	at  float64
+	seq uint64
 }
 
-func (h *transHeap) remove(node int) (at float64, seq uint64, ok bool) {
+type transHeap struct{ keys []transKey }
+
+func (h *transHeap) set(node int, at float64, seq uint64) {
 	_ = node
-	return 0, 0, len(h.ids) > 0
+	h.keys = append(h.keys, transKey{at: at, seq: seq})
+}
+
+func (h *transHeap) remove(node int) (k transKey, ok bool) {
+	_ = node
+	if len(h.keys) == 0 {
+		return transKey{}, false
+	}
+	return h.keys[0], true
 }
 
 type shardRuntime struct {
@@ -52,6 +59,7 @@ type coordinator struct {
 	crossed     bool
 	done        bool
 	seq         uint64
+	resid       []float64
 	horizon     float64
 }
 
@@ -149,6 +157,31 @@ func (c *coordinator) schedule(node int, at float64) {
 		c.crossed = true
 		c.fix(s)
 	}
+}
+
+// freeze mirrors coordinator.freeze: move a node's pending transition
+// out of its shard's heap into its residual, then repair a foreign
+// shard on every path, including the one with nothing pending.
+func (c *coordinator) freeze(node int, now float64) {
+	s := c.shardOf[node]
+	if k, ok := c.shards[s].trans.remove(node); ok {
+		c.resid[node] = k.at - now
+	}
+	if s != c.current {
+		c.fix(s)
+	}
+}
+
+// unfreeze mirrors coordinator.unfreeze through arm: re-arm the
+// residual in place, flag the crossing and repair a foreign shard.
+func (c *coordinator) unfreeze(node int, now float64) {
+	s := c.shardOf[node]
+	c.shards[s].trans.set(node, now+c.resid[node], c.seq)
+	if s == c.current {
+		return
+	}
+	c.crossed = true
+	c.fix(s)
 }
 
 // drainPanic: a panicking path carries no repair obligation.

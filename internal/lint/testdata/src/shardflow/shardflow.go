@@ -19,19 +19,26 @@ func (q *eventQueue) pop() event {
 	return ev
 }
 
-// transHeap mirrors the per-shard heap of pending transitions, at most
-// one per node.
-type transHeap struct{ ids []int32 }
-
-func (h *transHeap) set(node int, at float64, seq uint64) (oldAt float64, oldSeq uint64, had bool) {
-	_, _ = at, seq
-	h.ids = append(h.ids, int32(node))
-	return 0, 0, false
+// transKey and transHeap mirror the per-shard heap of pending
+// transitions, at most one per node, keyed inline.
+type transKey struct {
+	at  float64
+	seq uint64
 }
 
-func (h *transHeap) remove(node int) (at float64, seq uint64, ok bool) {
+type transHeap struct{ keys []transKey }
+
+func (h *transHeap) set(node int, at float64, seq uint64) {
 	_ = node
-	return 0, 0, len(h.ids) > 0
+	h.keys = append(h.keys, transKey{at: at, seq: seq})
+}
+
+func (h *transHeap) remove(node int) (k transKey, ok bool) {
+	_ = node
+	if len(h.keys) == 0 {
+		return transKey{}, false
+	}
+	return h.keys[0], true
 }
 
 type shardRuntime struct {
@@ -54,6 +61,7 @@ type coordinator struct {
 	crossed     bool
 	done        bool
 	seq         uint64
+	resid       []float64
 }
 
 func (c *coordinator) fix(s int32)  { _ = s }
@@ -116,9 +124,42 @@ func (c *coordinator) scheduleNoFix(node int, at float64) {
 // foreign shard's heap position stale: a cancel can raise its head.
 func (c *coordinator) cancelNoFix(node int) {
 	s := c.shardOf[node]
-	if _, _, ok := c.shards[s].trans.remove(node); ok { // want shardflow
+	if _, ok := c.shards[s].trans.remove(node); ok { // want shardflow
 		c.crossed = true
 	}
+}
+
+// freezeEarlyReturn suspends a node's transition out of a possibly
+// foreign shard's heap, but returns before the repair when nothing was
+// pending. The rule asks for the repair on every path after the call,
+// so it holds without reasoning about which paths left the heap alone.
+func (c *coordinator) freezeEarlyReturn(node int, now float64) {
+	s := c.shardOf[node]
+	k, ok := c.shards[s].trans.remove(node) // want shardflow
+	if !ok {
+		return
+	}
+	c.resid[node] = k.at - now
+	if s != c.current {
+		c.fix(s)
+	}
+}
+
+// freezeNoFix suspends a node's transition and never repairs the shard.
+func (c *coordinator) freezeNoFix(node int, now float64) {
+	s := c.shardOf[node]
+	if k, ok := c.shards[s].trans.remove(node); ok { // want shardflow
+		c.resid[node] = k.at - now
+	}
+}
+
+// unfreezeNoFix re-arms a suspended transition in a possibly foreign
+// shard and flags the crossing, but leaves that shard's heap position
+// stale.
+func (c *coordinator) unfreezeNoFix(node int, now float64) {
+	s := c.shardOf[node]
+	c.shards[s].trans.set(node, now+c.resid[node], c.seq) // want shardflow
+	c.crossed = true
 }
 
 // cancelFixesWrongShard repairs some other shard after the cancel.

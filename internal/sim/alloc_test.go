@@ -63,11 +63,23 @@ func steadyEngine(tb testing.TB) *coordinator {
 func BenchmarkEventLoop(b *testing.B) {
 	c := steadyEngine(b)
 	b.ReportAllocs()
+	events := c.met.Events
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !c.step() {
 			b.Fatal("queue drained")
 		}
+	}
+	reportNsPerEvent(b, c, events)
+}
+
+// reportNsPerEvent reports the benchmark's time per dispatched event
+// (Metrics.Events), the per-event cost comparable across engine changes
+// that alter how many steps dispatch nothing. events is the count at
+// the timer reset.
+func reportNsPerEvent(b *testing.B, c *coordinator, events int) {
+	if n := c.met.Events - events; n > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/event")
 	}
 }
 
@@ -102,10 +114,12 @@ func BenchmarkEventLoopNonClique(b *testing.B) {
 	}
 	c := warmCoordinator(b, cfg, 1)
 	b.ReportAllocs()
+	events := c.met.Events
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !c.step() {
 			b.Fatal("queue drained")
 		}
 	}
+	reportNsPerEvent(b, c, events)
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -361,6 +362,12 @@ func (f *jfloat) UnmarshalJSON(b []byte) error {
 	return err
 }
 
+// flatArray matches a JSON array of numbers and nulls.
+var (
+	flatArray = regexp.MustCompile(`\[[^][{}"]*\]`)
+	spaces    = regexp.MustCompile(`\s+`)
+)
+
 func occFloats(m map[string]jfloat) map[string]float64 {
 	out := make(map[string]float64, len(m))
 	for k, v := range m {
@@ -430,6 +437,10 @@ func TestLawConformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// One line per statistic: its per-seed values on one line.
+		buf = flatArray.ReplaceAllFunc(buf, func(m []byte) []byte {
+			return spaces.ReplaceAll(m, []byte(" "))
+		})
 		if err := os.WriteFile(refPath, append(buf, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -5,15 +5,19 @@
 // per-node arrays — every dispatch-path scalar packed into one cache
 // line per node — so the per-event working set is dense. Each node has
 // at most one pending transition, held in its shard's indexed
-// transition heap: a resample replaces it in place and a freeze or
-// crash cancels it there, so superseded transitions never linger in a
-// heap. Dispatch order is one global (time, key) order: the coordinator
-// maintains an indexed min-heap over shard heads and lets the leading
-// shard drain a run of events conservatively bounded by the earliest
-// event of any other shard (the lookahead bound), resynchronizing
-// whenever an event pushes across a shard boundary. With one shard the
-// bound is infinite and the whole run is a single batch. Because
-// the dispatch order, the per-node RNG streams, and the
+// transition heap with its key inline: a resample replaces it in place
+// and a departure or crash cancels it there, so superseded transitions
+// never linger in a heap. A carrier freeze suspends it instead: the
+// residual dwell moves into the node's hot line and is re-armed, with
+// no draw, when the carrier frees up (see freeze; memorylessness keeps
+// the law). Rates that depend on the multiplier alone are memoized per
+// multiplier epoch. Dispatch order is one global (time, key) order: the
+// coordinator maintains an indexed min-heap over shard heads and lets
+// the leading shard drain a run of events conservatively bounded by the
+// earliest event of any other shard (the lookahead bound),
+// resynchronizing whenever an event pushes across a shard boundary.
+// With one shard the bound is infinite and the whole run is a single
+// batch. Because the dispatch order, the per-node RNG streams, and the
 // content-derived event keys do not depend on the partition, results
 // are byte-identical by construction — for any shard count, and at any
 // sweep worker count above it.
@@ -422,7 +426,7 @@ func (c *coordinator) drain() {
 // dispatch realizes one event; the drain loop has already checked it
 // against the horizon.
 func (c *coordinator) dispatch(ev event) {
-	c.met.Events++ // dispatched events only; see Metrics.Events
+	c.met.Events++
 	if c.cfg.TrackOccupancy && c.measuring {
 		c.accrueOccupancy(ev.at)
 	}

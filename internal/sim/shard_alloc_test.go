@@ -38,12 +38,14 @@ func steadyCoordinator(tb testing.TB) *coordinator {
 func BenchmarkShardEventLoop(b *testing.B) {
 	c := steadyCoordinator(b)
 	b.ReportAllocs()
+	events := c.met.Events
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !c.step() {
 			b.Fatal("queues drained")
 		}
 	}
+	reportNsPerEvent(b, c, events)
 }
 
 // TestShardEventLoopSteadyStateAllocs pins the sharded loop's
