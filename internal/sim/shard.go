@@ -64,9 +64,17 @@ func (s *shardRuntime) run(c *coordinator, boundAt float64, boundSeq uint64) {
 			return
 		}
 		if fromTrans {
+			// Fire in place: the fired key stays at the root while its
+			// handler runs, so the handler's own arm replaces it with one
+			// sift-down and a cancel removes it. It is sound because the
+			// fired key (now, seq) is <= every key present or pushed during
+			// the handler, so nothing rises above it. A handler that did
+			// neither leaves it to be removed here.
 			node := int(seq & s.trans.mask)
-			s.trans.remove(node)
 			c.dispatch(event{at: at, seq: seq, kind: evTransition, node: node})
+			if len(s.trans.keys) > 0 && s.trans.keys[0].seq == seq {
+				s.trans.remove(node)
+			}
 		} else {
 			c.dispatch(s.queue.pop())
 		}
