@@ -185,7 +185,6 @@ var unitRegistry = map[string]string{
 	// sim: the dispatch clock and the time arguments of the handlers.
 	"econcast/internal/sim.coordinator.now":                   "s",
 	"econcast/internal/sim.coordinator.accrueOccupancy.until": "s",
-	"econcast/internal/sim.coordinator.handleTick.tau":        "s",
 
 	// statespace: analytical counterparts of the sim outputs.
 	"econcast/internal/statespace.P4Result.Throughput":          "pkt/s",

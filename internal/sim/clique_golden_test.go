@@ -114,6 +114,10 @@ func digest(s string) string {
 // frozen transitions instead of redrawing them, which changed every
 // sample path but not the law: internal/sim/conform compared it against
 // the redrawing engine before these replaced that engine's digests.
+// "hooks" was re-pinned when multiplier ticks moved to the per-shard
+// tick cursor: OnTick calls that share an instant now arrive in node
+// order, and the record equals the previous one once those lines are
+// sorted within each instant (the event log and metrics are unchanged).
 var cliqueGolden = map[string]string{
 	"capture-groupput":       "f5ac57ac7d907b67d3811607929dde988f781ccceaf9c1163b96bae5b885ba06",
 	"capture-anyput":         "3309291f6f51e7075102357466f5d88a347af30491c295fa246f60b4de6db010",
@@ -121,7 +125,7 @@ var cliqueGolden = map[string]string{
 	"noncapture-anyput":      "0644af64d59377815e4b4bb75ab820537504053e75c0f5b7e2d3f5892409157f",
 	"estimate-listeners":     "c2d361182e5b731d67cf711f04208ae93d349c33d6464042062002311fa770f3",
 	"occupancy":              "4d64b1b916047dae9b3d54757bd3c10f25f2e277c591dfebb84d9d9be6d3a34d",
-	"hooks":                  "7bc3df6e56da9b52fc59ec8171d2bcc311c51490720f4d6b27aefde94eab89e5",
+	"hooks":                  "db2927947f717817b3719c2b227e80a4f764431c9a3d5bab5e1c49946e0d5be2",
 	"churn":                  "ceb78da379919ef2ea8458f5f403a626194d3e66de19e935e8c6d2186d13d8a9",
 	"harvest":                "a695cf3f25b343256ea56f9e7402c307f42c4b73868864352b02fdda4f6691e7",
 	"battery-floor":          "8703ee8a7642ce2b377f9e68794ecd945af933e8f7daeb1238aa0b57cb9ace17",

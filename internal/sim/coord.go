@@ -90,6 +90,12 @@ type coordinator struct {
 	// alone — identical at every shard count.
 	rngs []rng.Source
 
+	// tickLam[i] is the Lamport clock node i's next multiplier tick
+	// would carry as a queued event. The tick cursor keys ticks with
+	// Lamport 0, but its handler still runs under this clock, so every
+	// key it schedules keeps its bits.
+	tickLam []uint64
+
 	// hot is the cache-line-packed per-node state: one 64-byte record
 	// per node holding every scalar the dispatch path reads or writes —
 	// the node's dynamic state, its Lamport clock, its packet slot's
@@ -223,6 +229,7 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 		packetTime: model.DefaultIfZero(cfg.Protocol.PacketTime, 1e-3),
 
 		rngs:    make([]rng.Source, n),
+		tickLam: make([]uint64, n),
 		hot:     make([]nodeHot, n),
 		cores:   make([]econcast.Core, n),
 		harvest: make([]func(float64) float64, n),
@@ -255,6 +262,11 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 	for s := range c.shards {
 		c.shards[s].id = int32(s)
 		c.shards[s].trans = transHeap{keys: make([]transKey, 0, owned[s]), pos: tpos, mask: 1<<c.shift - 1}
+		c.shards[s].ticks = make([]int32, 0, owned[s])
+	}
+	for i := 0; i < n; i++ {
+		s := part.ShardOf(i)
+		c.shards[s].ticks = append(c.shards[s].ticks, int32(i))
 	}
 	c.order = make([]int32, 0, ns)
 	c.pos = make([]int32, ns)
@@ -367,13 +379,19 @@ func (c *coordinator) run() {
 // events, so the fault-free hot path is untouched.
 func (c *coordinator) start() {
 	c.tau = c.params[0].Tau
+	for s := range c.shards {
+		c.shards[s].tickAt = c.tau
+	}
 	for i := 0; i < c.n; i++ {
 		c.scheduleTransition(i)
-		c.push(event{at: c.tau, kind: evTick, node: i})
+		c.tickLam[i] = c.nextSeq(i) >> c.shift
 		node := i
 		c.flt.Boundaries(i, func(at float64) {
 			c.push(event{at: at, kind: evFault, node: node})
 		})
+	}
+	for s := range c.shards {
+		c.fix(int32(s)) // the tick cursor alone makes every shard non-empty
 	}
 	c.crossed = false
 }
@@ -426,26 +444,30 @@ func (c *coordinator) drain() {
 // dispatch realizes one event; the drain loop has already checked it
 // against the horizon.
 func (c *coordinator) dispatch(ev event) {
-	c.met.Events++
-	if c.cfg.TrackOccupancy && c.measuring {
-		c.accrueOccupancy(ev.at)
-	}
-	c.now = ev.at
-	c.curLamport = ev.seq >> c.shift
-	c.measuring = c.now >= c.cfg.Warmup
-	if c.cfg.TrackOccupancy && c.measuring && !c.occStarted {
-		c.occStarted = true
-		c.occLast = c.now
-	}
+	c.clock(ev.at, ev.seq>>c.shift)
 	switch ev.kind {
 	case evTransition:
 		c.handleTransition(ev.node)
 	case evPacketEnd:
 		c.handlePacketEnd(ev.node)
-	case evTick:
-		c.handleTick(ev.node, c.tau)
 	case evFault:
 		c.handleFault(ev.node)
+	}
+}
+
+// clock advances the dispatch clock to an event at time at whose key
+// carries the Lamport clock lamport, and counts the event.
+func (c *coordinator) clock(at float64, lamport uint64) {
+	c.met.Events++
+	if c.cfg.TrackOccupancy && c.measuring {
+		c.accrueOccupancy(at)
+	}
+	c.now = at
+	c.curLamport = lamport
+	c.measuring = c.now >= c.cfg.Warmup
+	if c.cfg.TrackOccupancy && c.measuring && !c.occStarted {
+		c.occStarted = true
+		c.occLast = c.now
 	}
 }
 
@@ -572,7 +594,7 @@ func (c *coordinator) siftDown(i int) {
 // ---- handlers ----
 
 // accrue advances node i's battery and multiplier bookkeeping to now.
-// Multiplier boundaries are also forced by evTick events, so eta changes
+// Multiplier boundaries are also forced by the tick cursor, so eta changes
 // land exactly on tau multiples regardless of event spacing.
 
 func (c *coordinator) accrue(i int) {
@@ -1062,8 +1084,10 @@ func (c *coordinator) flushBurst(i int) {
 
 // handleTick advances energy bookkeeping (forcing the eq. 17 update to
 // land exactly on the tau boundary) and resamples the node's transition,
-// since its rates depend on the refreshed multiplier.
-func (c *coordinator) handleTick(i int, tau float64) {
+// since its rates depend on the refreshed multiplier. The shard's tick
+// cursor schedules the next tick; its Lamport clock is drawn here, where
+// the tick used to be queued.
+func (c *coordinator) handleTick(i int) {
 	c.accrue(i)
 	// Departure: an absent node abandons listening (transmitters finish
 	// their current hold first; the packet machinery owns that state).
@@ -1082,7 +1106,7 @@ func (c *coordinator) handleTick(i int, tau float64) {
 	if c.hot[i].state != model.Transmit {
 		c.scheduleTransition(i)
 	}
-	c.push(event{at: c.now + tau, kind: evTick, node: i})
+	c.tickLam[i] = c.nextSeq(i) >> c.shift
 }
 
 // handleFault realizes one fault-schedule boundary for node i: a crash

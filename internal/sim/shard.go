@@ -6,25 +6,47 @@ package sim
 //lint:owner sim-engine the coordinator's event-loop goroutine owns all shard state
 type shardRuntime struct {
 	id int32
-	// queue holds packet ends, multiplier ticks and fault boundaries;
-	// trans holds each owned node's pending transition, at most one per
-	// node.
+	// queue holds packet ends and fault boundaries; trans holds each
+	// owned node's pending transition, at most one per node.
 	queue eventQueue
 	trans transHeap
+
+	// The multiplier-tick cursor. Every node ticks at the same instants
+	// tau, 2tau, ..., computed by the same float additions for every node,
+	// so the shard walks its owned nodes (ticks, ascending id) instead of
+	// queueing one tick per node: ticks[tickNext] is the next node due at
+	// tickAt, and tickAt advances by tau when the cursor wraps. The tick's
+	// key is (tickAt, node) with Lamport 0, which sorts before every
+	// other event at that instant.
+	ticks    []int32
+	tickAt   float64
+	tickNext int
 }
 
-// head returns the shard's earliest event key and whether that event is
-// the pending transition at the root of trans rather than the queue
-// head. Keys are unique, so the two heads never tie.
-func (s *shardRuntime) head() (at float64, seq uint64, fromTrans, ok bool) {
+// source names the structure holding a shard's earliest event.
+type source uint8
+
+const (
+	fromQueue source = iota
+	fromTrans
+	fromTick
+)
+
+// head returns the shard's earliest event key and the structure it
+// comes from. Keys are unique, so the heads never tie.
+func (s *shardRuntime) head() (at float64, seq uint64, src source, ok bool) {
+	if len(s.ticks) > 0 {
+		at, seq, src, ok = s.tickAt, uint64(s.ticks[s.tickNext]), fromTick, true
+	}
 	if len(s.trans.keys) > 0 {
-		k := &s.trans.keys[0]
-		at, seq, fromTrans, ok = k.at, k.seq, true, true
+		if k := &s.trans.keys[0]; !ok || keyLess(k.at, k.seq, at, seq) {
+			at, seq, src, ok = k.at, k.seq, fromTrans, true
+		}
 	}
 	if len(s.queue) > 0 && (!ok || keyLess(s.queue[0].at, s.queue[0].seq, at, seq)) {
-		return s.queue[0].at, s.queue[0].seq, false, true
+		return s.queue[0].at, s.queue[0].seq, fromQueue, true
 	}
-	return at, seq, fromTrans, ok
+	return at, seq, src, ok
 }
 
 // keyLess is the canonical event order: (at, seq) lexicographic. Keys
@@ -52,7 +74,7 @@ func (s *shardRuntime) run(c *coordinator, boundAt float64, boundSeq uint64) {
 	c.crossed = false
 	dispatched := 0
 	for {
-		at, seq, fromTrans, ok := s.head()
+		at, seq, src, ok := s.head()
 		if !ok {
 			return
 		}
@@ -63,7 +85,8 @@ func (s *shardRuntime) run(c *coordinator, boundAt float64, boundSeq uint64) {
 			c.done = true
 			return
 		}
-		if fromTrans {
+		switch src {
+		case fromTrans:
 			// Fire in place: the fired key stays at the root while its
 			// handler runs, so the handler's own arm replaces it with one
 			// sift-down and a cancel removes it. It is sound because the
@@ -75,7 +98,15 @@ func (s *shardRuntime) run(c *coordinator, boundAt float64, boundSeq uint64) {
 			if len(s.trans.keys) > 0 && s.trans.keys[0].seq == seq {
 				s.trans.remove(node)
 			}
-		} else {
+		case fromTick:
+			node := int(s.ticks[s.tickNext])
+			if s.tickNext++; s.tickNext == len(s.ticks) {
+				s.tickNext = 0
+				s.tickAt += c.tau
+			}
+			c.clock(at, c.tickLam[node])
+			c.handleTick(node)
+		default:
 			c.dispatch(s.queue.pop())
 		}
 		dispatched++

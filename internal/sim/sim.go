@@ -108,7 +108,9 @@ type Config struct {
 
 	// OnTick, when non-nil, is invoked at every multiplier tick with the
 	// node's current eta (units of 1/Watt), exposing the eq. (17)
-	// adaptation trajectory for convergence studies.
+	// adaptation trajectory for convergence studies. Every node ticks at
+	// the same instants, and the calls at one instant arrive in ascending
+	// node order, before any other event at that instant.
 	OnTick func(node int, now, eta float64)
 
 	// Churn, when non-nil, gives each node an activity schedule: the node
@@ -266,7 +268,6 @@ type Metrics struct {
 const (
 	evTransition = iota // node's sampled state transition
 	evPacketEnd         // end of the current unit packet
-	evTick              // multiplier / battery bookkeeping tick
 	evFault             // fault-schedule boundary (crash/brownout/silence edge)
 )
 

@@ -122,7 +122,7 @@ func TestSuspendDroppedByTick(t *testing.T) {
 	transmitAt(c, 0, t0)
 
 	c.now = t0 + c.packetTime/2
-	c.handleTick(1, c.tau)
+	c.handleTick(1)
 	if c.hot[1].has(fSuspended) {
 		t.Fatal("a tick during the freeze left the suspension in place")
 	}
