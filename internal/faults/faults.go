@@ -230,10 +230,10 @@ func Compile(cfg *Config, n int, horizon float64, seed uint64) (*Set, error) {
 		}
 	}
 	if b := cfg.Brownout; b != nil {
-		if !(b.MeanEvery > 0) || !(b.MeanFor > 0) {
-			return nil, errors.New("faults: brownout needs MeanEvery > 0 and MeanFor > 0")
+		if !meanOK(b.MeanEvery) || !meanOK(b.MeanFor) {
+			return nil, errors.New("faults: brownout needs finite MeanEvery > 0 and MeanFor > 0")
 		}
-		if b.Scale < 0 || b.Scale >= 1 {
+		if !(b.Scale >= 0 && b.Scale < 1) {
 			return nil, errors.New("faults: brownout Scale must be in [0, 1)")
 		}
 		if !densityOK(b.MeanEvery, b.MeanFor, horizon) {
@@ -246,8 +246,8 @@ func Compile(cfg *Config, n int, horizon float64, seed uint64) (*Set, error) {
 		}
 	}
 	if sl := cfg.Silence; sl != nil {
-		if !(sl.MeanEvery > 0) || !(sl.MeanFor > 0) {
-			return nil, errors.New("faults: silence needs MeanEvery > 0 and MeanFor > 0")
+		if !meanOK(sl.MeanEvery) || !meanOK(sl.MeanFor) {
+			return nil, errors.New("faults: silence needs finite MeanEvery > 0 and MeanFor > 0")
 		}
 		if !densityOK(sl.MeanEvery, sl.MeanFor, horizon) {
 			return nil, errTooDense
@@ -258,8 +258,11 @@ func Compile(cfg *Config, n int, horizon float64, seed uint64) (*Set, error) {
 		}
 	}
 	if l := cfg.Loss; l != nil {
-		if l.P < 0 || l.P > 1 || l.PBad < 0 || l.PBad > 1 {
+		if !(l.P >= 0 && l.P <= 1) || !(l.PBad >= 0 && l.PBad <= 1) {
 			return nil, errors.New("faults: loss probabilities must be in [0, 1]")
+		}
+		if !meanOrUnset(l.MeanGood) || !meanOrUnset(l.MeanBad) {
+			return nil, errors.New("faults: burst loss means must be finite and >= 0")
 		}
 		if (l.MeanGood > 0) != (l.MeanBad > 0) {
 			return nil, errors.New("faults: burst loss needs both MeanGood and MeanBad")
@@ -283,7 +286,7 @@ func Compile(cfg *Config, n int, horizon float64, seed uint64) (*Set, error) {
 		}
 	}
 	if d := cfg.Drift; d != nil {
-		if d.Max < 0 || d.Max >= 1 {
+		if !(d.Max >= 0 && d.Max < 1) {
 			return nil, errors.New("faults: drift Max must be in [0, 1)")
 		}
 		for i := 0; i < n; i++ {
@@ -303,14 +306,22 @@ func (c *Crash) validate(n int) error {
 	if len(c.Kill) > 0 && !(c.KillAt >= 0) {
 		return errors.New("faults: crash KillAt must be >= 0")
 	}
-	if c.MeanUp < 0 || c.MeanDown < 0 {
-		return errors.New("faults: crash MeanUp/MeanDown must be >= 0")
+	if !meanOrUnset(c.MeanUp) || !meanOrUnset(c.MeanDown) {
+		return errors.New("faults: crash MeanUp/MeanDown must be finite and >= 0")
 	}
 	if c.MeanUp == 0 && c.MeanDown > 0 { //lint:allow floateq zero is the explicit unset sentinel, not a computed value
 		return errors.New("faults: crash MeanDown without MeanUp")
 	}
 	return nil
 }
+
+// meanOK reports whether x can be the mean of an exponential dwell:
+// positive and finite (rng.Exp panics on the zero rate of an infinite
+// mean, and NaN compares false everywhere).
+func meanOK(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// meanOrUnset is meanOK or the unset zero.
+func meanOrUnset(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // maxWindowsPerNode bounds the number of windows any recurring process
 // may materialize per node. Schedules are compiled eagerly over the full
