@@ -4,7 +4,7 @@
 // gives each shard its own event heaps, and keeps node state in flat
 // per-node arrays — every dispatch-path scalar packed into one cache
 // line per node — so the per-event working set is dense. Each node has
-// at most one pending transition, held in its shard's indexed 4-ary
+// at most one pending transition, held in its shard's indexed
 // transition heap with its key inline: a resample replaces it in place
 // (a fired transition's own re-arm included: it stays at the root while
 // its handler runs) and a departure or crash cancels it there, so
@@ -23,10 +23,10 @@
 // conservatively bounded by the earliest event of any other shard (the
 // lookahead bound), resynchronizing whenever an event pushes across a
 // shard boundary. With one shard the bound is infinite and the whole
-// run is a single batch. Because the dispatch order, the per-node RNG streams, and the
-// content-derived event keys do not depend on the partition, results
-// are byte-identical by construction — for any shard count, and at any
-// sweep worker count above it.
+// run is a single batch. Because the dispatch order, the per-node RNG
+// streams, and the content-derived event keys do not depend on the
+// partition, results are byte-identical by construction — for any
+// shard count, and at any sweep worker count above it.
 //
 // The per-event cost is O(degree) regardless of N: instead of walking
 // every in-flight packet's listeners on each transmission start to find
@@ -271,10 +271,6 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 		c.shards[s].trans = transHeap{keys: make([]transKey, 0, owned[s]), pos: tpos, mask: 1<<c.shift - 1}
 		c.shards[s].ticks = make([]int32, 0, owned[s])
 	}
-	for i := 0; i < n; i++ {
-		s := part.ShardOf(i)
-		c.shards[s].ticks = append(c.shards[s].ticks, int32(i))
-	}
 	c.order = make([]int32, 0, ns)
 	c.pos = make([]int32, ns)
 	c.headAt = make([]float64, ns)
@@ -297,7 +293,9 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 		c.nbr[i] = nbrSlab[off : off+d : off+d]
 		c.pktListeners[i] = lstSlab[off : off : off+d]
 		off += d
-		c.hot[i].shardOf = int32(part.ShardOf(i))
+		s := part.ShardOf(i)
+		c.hot[i].shardOf = int32(s)
+		c.shards[s].ticks = append(c.shards[s].ticks, int32(i))
 		c.rngs[i] = *rng.New(rng.DeriveSeed(cfg.Seed, rngNodeDomain, uint64(i)))
 	}
 	for s := range c.shards {
@@ -742,7 +740,9 @@ func (c *coordinator) release(i int) {
 // which it froze. Each still-suspended node with a timer is re-armed in
 // place at now + (at - pausedAt) under a fresh key, which is the
 // arithmetic of freeze and unfreeze, and a suspended node without a
-// timer is cancelled; one heapify then restores the order. Every other
+// timer is cancelled; one heapify then restores the order. (The rewrite
+// is monotone in at, so it can misorder two keys only by rounding their
+// times into a tie, which their fresh seqs then decide.) Every other
 // neighbor has nothing pending (the pause only ever removes keys) and is
 // sampled afresh, as unfreeze would.
 func (c *coordinator) resumeClique(s int32, i int) {

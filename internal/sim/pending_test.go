@@ -11,15 +11,16 @@ import (
 
 // TestPendingEventsBounded pins the one-pending-transition invariant:
 // after every step, each shard's transition heap holds at most one entry
-// per owned node, and its event queue at most two per owned node (a
-// multiplier tick and a packet end) plus the fault boundaries pushed at
-// start. A superseded transition is cancelled in place and a frozen one
-// suspended out of the heap, so nothing accumulates. Left in the heap to be dropped at dispatch instead, the
-// superseded transitions of the cold clique below peak at 1,079,115
-// entries for ten nodes: its multipliers grow until sleep dwells run
-// past the horizon, and those entries are never popped. The grid runs
-// on two shards so that carrier-sense freezes and resamples remove
-// transitions across the shard boundary.
+// per owned node, and its event queue at most two per owned node plus
+// the fault boundaries pushed at start (the queue holds only packet
+// ends and fault boundaries; ticks come from the shard's cursor). A
+// superseded transition is cancelled in place and a frozen one
+// suspended, so nothing accumulates. Left in the heap to be dropped at
+// dispatch instead, the superseded transitions of the cold clique below
+// peak at 1,079,115 entries for ten nodes: its multipliers grow until
+// sleep dwells run past the horizon, and those entries are never
+// popped. The grid runs on two shards so that carrier-sense freezes and
+// resamples remove transitions across the shard boundary.
 func TestPendingEventsBounded(t *testing.T) {
 	grid := gridCfg(5)
 	grid.Network = model.Homogeneous(100, 60*model.MicroWatt, 500*model.MicroWatt, 500*model.MicroWatt)

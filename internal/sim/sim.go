@@ -279,8 +279,9 @@ type event struct {
 }
 
 // eventQueue is a binary min-heap over event values ordered by (at, seq)
-// — the shard heap for every event kind but transitions (see transHeap),
-// with sift-up/sift-down written directly against the slice. It
+// — the shard heap for packet ends and fault boundaries (transitions
+// have transHeap, ticks the shard's tick cursor), with
+// sift-up/sift-down written directly against the slice. It
 // deliberately does not use container/heap: heap.Push and heap.Pop box
 // every event through interface{}, which allocates on each of the
 // millions of events a run processes; the direct heap keeps the
