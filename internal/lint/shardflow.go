@@ -52,12 +52,9 @@ var shardflowConfigs = map[string]shardflowConfig{
 		drainMethod: "run",
 		fixMethod:   "fix",
 		heapOps: []shardHeapOp{
-			{"queue", "push"},    // packet ends and fault boundaries
-			{"trans", "set"},     // a node's pending transition, set or replaced
-			{"trans", "remove"},  // its cancellation
-			{"trans", "pause"},   // a clique hold hides the heap from the head
-			{"trans", "resume"},  // and its release shows it again
-			{"trans", "heapify"}, // after the suspended keys are rewritten in place
+			{"queue", "push"},   // packet ends and fault boundaries
+			{"trans", "set"},    // a node's pending transition, set or replaced
+			{"trans", "remove"}, // its cancellation
 		},
 		shardsField:  "shards",
 		posField:     "pos",
@@ -83,8 +80,7 @@ var shardflowConfigs = map[string]shardflowConfig{
 //  2. Every drain must be followed by fix(s) on all paths to the
 //     function exit, re-attaching the shard before the next comparison.
 //  3. Every mutation of a shard's heaps (a queue push, a transition
-//     set or cancel, a pause or resume of the transition heap, or its
-//     heapify) must be followed on all paths by fix of that
+//     set or cancel) must be followed on all paths by fix of that
 //     shard — except along branch edges that prove the mutation hit the
 //     currently-draining (detached) shard.
 //  4. A shard-receiver method may index the coordinator's per-shard SoA

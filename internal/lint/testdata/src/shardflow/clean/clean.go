@@ -26,11 +26,7 @@ type transKey struct {
 	seq uint64
 }
 
-type transHeap struct {
-	keys     []transKey
-	paused   bool
-	pausedAt float64
-}
+type transHeap struct{ keys []transKey }
 
 func (h *transHeap) set(node int, at float64, seq uint64) {
 	_ = node
@@ -44,15 +40,6 @@ func (h *transHeap) remove(node int) (k transKey, ok bool) {
 	}
 	return h.keys[0], true
 }
-
-func (h *transHeap) pause(at float64) {
-	h.paused = true
-	h.pausedAt = at
-}
-
-func (h *transHeap) resume() { h.paused = false }
-
-func (h *transHeap) heapify() {}
 
 type shardRuntime struct {
 	id    int32
@@ -195,34 +182,6 @@ func (c *coordinator) unfreeze(node int, now float64) {
 	}
 	c.crossed = true
 	c.fix(s)
-}
-
-// pause mirrors the clique hold in coordinator.startTransmission: hide
-// the shard's transition heap, then repair the shard unless it is
-// draining.
-func (c *coordinator) pause(node int, now float64) {
-	s := c.shardOf[node]
-	c.shards[s].trans.pause(now)
-	if s != c.current {
-		c.fix(s)
-	}
-}
-
-// resumeClique mirrors coordinator.resumeClique: rewrite the suspended
-// keys in place, cancel one, heapify and resume, then one repair covers
-// every mutation before it.
-func (c *coordinator) resumeClique(node int, now float64) {
-	s := c.shardOf[node]
-	tf := c.shards[s].trans.pausedAt
-	for i := range c.shards[s].trans.keys {
-		c.shards[s].trans.keys[i].at = now + (c.shards[s].trans.keys[i].at - tf)
-	}
-	c.shards[s].trans.remove(node)
-	c.shards[s].trans.heapify()
-	c.shards[s].trans.resume()
-	if s != c.current {
-		c.fix(s)
-	}
 }
 
 // drainPanic: a panicking path carries no repair obligation.

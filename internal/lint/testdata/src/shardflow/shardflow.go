@@ -26,11 +26,7 @@ type transKey struct {
 	seq uint64
 }
 
-type transHeap struct {
-	keys     []transKey
-	paused   bool
-	pausedAt float64
-}
+type transHeap struct{ keys []transKey }
 
 func (h *transHeap) set(node int, at float64, seq uint64) {
 	_ = node
@@ -44,15 +40,6 @@ func (h *transHeap) remove(node int) (k transKey, ok bool) {
 	}
 	return h.keys[0], true
 }
-
-func (h *transHeap) pause(at float64) {
-	h.paused = true
-	h.pausedAt = at
-}
-
-func (h *transHeap) resume() { h.paused = false }
-
-func (h *transHeap) heapify() {}
 
 type shardRuntime struct {
 	id    int32
@@ -182,36 +169,6 @@ func (c *coordinator) cancelFixesWrongShard(node int, o int32) {
 	if s != c.current {
 		c.fix(o)
 	}
-}
-
-// pauseNoFix pauses a possibly foreign shard's transition heap, which
-// hides its root from the shard's head, and never repairs the shard.
-func (c *coordinator) pauseNoFix(node int, now float64) {
-	s := c.shardOf[node]
-	c.shards[s].trans.pause(now) // want shardflow
-}
-
-// resumeNoFix rewrites the paused keys in place, heapifies and repairs
-// the shard, but resumes the heap after the repair: showing the root
-// again can lower the shard's head.
-func (c *coordinator) resumeNoFix(node int, now float64) {
-	s := c.shardOf[node]
-	tf := c.shards[s].trans.pausedAt
-	for i := range c.shards[s].trans.keys {
-		c.shards[s].trans.keys[i].at = now + (c.shards[s].trans.keys[i].at - tf)
-	}
-	c.shards[s].trans.heapify()
-	if s != c.current {
-		c.fix(s)
-	}
-	c.shards[s].trans.resume() // want shardflow
-}
-
-// heapifyNoFix reorders a possibly foreign shard's transition heap,
-// which can change its root, and returns without the repair.
-func (c *coordinator) heapifyNoFix(node int) {
-	s := c.shardOf[node]
-	c.shards[s].trans.heapify() // want shardflow
 }
 
 // peekForeign indexes a coordinator-owned SoA cache by a foreign shard

@@ -11,10 +11,7 @@
 // superseded transitions never linger in a heap. A carrier freeze
 // suspends it instead: the residual dwell moves into the node's hot
 // line and is re-armed, with no draw, when the carrier frees up (see
-// freeze; memorylessness keeps the law). A clique shard, where every
-// transmission freezes all other nodes, pauses its whole heap for the
-// hold instead and rewrites the suspended keys in place at the release
-// (resumeClique), with the same arithmetic. Multiplier ticks never enter
+// freeze; memorylessness keeps the law). Multiplier ticks never enter
 // a heap: every node ticks at the same instants, so each shard walks
 // its nodes with a tick cursor. Rates that depend on the multiplier
 // alone are memoized per multiplier epoch. Dispatch order is one global
@@ -170,8 +167,7 @@ type nodeHot struct {
 	// see coordinator.nextSeq for the key construction.
 	lamport uint64
 	// resid is the residual dwell of a transition suspended by a carrier
-	// freeze, valid while fSuspended is set outside a paused clique heap
-	// (see coordinator.freeze).
+	// freeze, valid while fSuspended is set (see coordinator.freeze).
 	resid      float64
 	busy       int32 // transmitting neighbors (carrier sense)
 	burstCount int32
@@ -209,7 +205,7 @@ const (
 	fWarmSnapped
 	fPktActive    // the node's packet slot holds an in-flight packet
 	fPktDelivered // the slot's current hold reached at least one receiver
-	fSuspended    // a carrier freeze holds the node's transition (in resid, or in place in a paused heap)
+	fSuspended    // a carrier freeze holds the node's transition in resid
 )
 
 func (h *nodeHot) has(f uint8) bool { return h.flags&f != 0 }
@@ -298,9 +294,6 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 		c.shards[s].ticks = append(c.shards[s].ticks, int32(i))
 		c.rngs[i] = *rng.New(rng.DeriveSeed(cfg.Seed, rngNodeDomain, uint64(i)))
 	}
-	for s := range c.shards {
-		c.shards[s].clique = c.isolatedClique(c.shards[s].ticks)
-	}
 	// Parameter blocks are immutable and comparable, so identical nodes
 	// share one block: a homogeneous network keeps a single Params hot in
 	// cache instead of n copies interleaved with the dynamic state.
@@ -369,25 +362,6 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 		}
 	}
 	return c
-}
-
-// isolatedClique reports whether the nodes are at least two, pairwise
-// neighbors, and without a neighbor outside the set.
-func (c *coordinator) isolatedClique(nodes []int32) bool {
-	if len(nodes) < 2 {
-		return false
-	}
-	for _, i := range nodes {
-		if c.topo.Degree(int(i)) != len(nodes)-1 {
-			return false
-		}
-		for _, j := range c.topo.Neighbors(int(i)) {
-			if c.hot[j].shardOf != c.hot[i].shardOf {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // pr returns node i's shared parameter block.
@@ -682,10 +656,6 @@ func (c *coordinator) arm(i int, at float64) {
 // boundary, a state change) goes through scheduleTransition or cancel,
 // which drop the suspension. A non-capture listener's rate depends on
 // the listener estimate, so it is resampled, which cancels it.
-//
-// In a clique shard the transmission froze every other node, and its
-// heap is paused for the hold (startTransmission): the suspended key
-// stays in place, and resumeClique re-arms it with the same arithmetic.
 func (c *coordinator) freeze(i int) {
 	h := &c.hot[i]
 	if h.state == model.Listen && c.cfg.Protocol.Variant == econcast.NonCapture {
@@ -693,12 +663,6 @@ func (c *coordinator) freeze(i int) {
 		return
 	}
 	s := h.shardOf
-	if c.shards[s].trans.paused {
-		if c.shards[s].trans.pos[i] >= 0 {
-			h.set(fSuspended)
-		}
-		return
-	}
 	if k, ok := c.shards[s].trans.remove(i); ok {
 		h.resid = k.at - c.now
 		h.set(fSuspended)
@@ -722,54 +686,11 @@ func (c *coordinator) unfreeze(i int) {
 // release frees the channel transmitter i held: each neighbor loses a
 // transmitting neighbor, and one whose carrier frees up is unfrozen.
 func (c *coordinator) release(i int) {
-	if s := c.hot[i].shardOf; c.shards[s].trans.paused {
-		c.resumeClique(s, i)
-		return
-	}
 	for _, j := range c.nbr[i] {
 		h := &c.hot[j]
 		h.busy--
 		if h.busy == 0 && h.state != model.Transmit {
 			c.unfreeze(j)
-		}
-	}
-}
-
-// resumeClique ends the pause of clique shard s at the release of
-// transmitter i's hold; i's neighbors are every other node of s, all of
-// which it froze. Each still-suspended node with a timer is re-armed in
-// place at now + (at - pausedAt) under a fresh key, which is the
-// arithmetic of freeze and unfreeze, and a suspended node without a
-// timer is cancelled; one heapify then restores the order. (The rewrite
-// is monotone in at, so it can misorder two keys only by rounding their
-// times into a tie, which their fresh seqs then decide.) Every other
-// neighbor has nothing pending (the pause only ever removes keys) and is
-// sampled afresh, as unfreeze would.
-func (c *coordinator) resumeClique(s int32, i int) {
-	tf := c.shards[s].trans.pausedAt
-	for _, j := range c.nbr[i] {
-		h := &c.hot[j]
-		h.busy--
-		if !h.has(fSuspended) {
-			continue
-		}
-		h.clear(fSuspended)
-		if c.timed(j) {
-			k := &c.shards[s].trans.keys[c.shards[s].trans.pos[j]]
-			k.at = c.now + (k.at - tf)
-			k.seq = c.nextSeq(j)
-		} else {
-			c.shards[s].trans.remove(j)
-		}
-	}
-	c.shards[s].trans.heapify()
-	c.shards[s].trans.resume()
-	if s != c.current {
-		c.fix(s)
-	}
-	for _, j := range c.nbr[i] {
-		if c.shards[s].trans.pos[j] < 0 {
-			c.scheduleTransition(j)
 		}
 	}
 }
@@ -1010,14 +931,6 @@ func (c *coordinator) startTransmission(i int) {
 	c.setState(i, model.Transmit)
 	c.cancel(i) // no timer while transmitting
 	c.onListenSetChanged(i)
-	if s := c.hot[i].shardOf; c.shards[s].clique {
-		// Every other node of the shard is about to freeze: pause its
-		// heap for the hold instead of suspending them one by one.
-		c.shards[s].trans.pause(c.now)
-		if s != c.current {
-			c.fix(s)
-		}
-	}
 	// Occupy the channel: each neighbor gains one transmitting neighbor.
 	// Hidden-terminal collisions ride the same pass: a neighbor j sitting
 	// in any in-flight packet's listener list (listeningTo[j] > 0) now
@@ -1164,12 +1077,9 @@ func (c *coordinator) handlePacketEnd(i int) {
 		c.bl[i].Add(float64(hi.pktBurstLen + 1))
 	}
 	// Release: transmitter returns to listen (Fig. 1), neighbors unfreeze.
-	// Each node draws from its own stream and keys its own events, so
-	// the transmitter's resample commutes with its neighbors' unfreezes;
-	// it comes after them so that a paused clique heap is whole again.
 	c.setState(i, model.Listen)
-	c.release(i)
 	c.scheduleTransition(i)
+	c.release(i)
 	c.onListenSetChanged(i)
 }
 

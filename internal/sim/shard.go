@@ -11,12 +11,6 @@ type shardRuntime struct {
 	queue eventQueue
 	trans transHeap
 
-	// clique is set when the shard's nodes are pairwise neighbors and
-	// have no neighbor outside it, so that a transmission by any of them
-	// freezes all the others. Such a shard pauses its transition heap for
-	// the hold instead of suspending each node (see coordinator.freeze).
-	clique bool
-
 	// The multiplier-tick cursor. Every node ticks at the same instants
 	// tau, 2tau, ..., computed by the same float additions for every node,
 	// so the shard walks its owned nodes (ticks, ascending id) instead of
@@ -44,7 +38,7 @@ func (s *shardRuntime) head() (at float64, seq uint64, src source, ok bool) {
 	if len(s.ticks) > 0 {
 		at, seq, src, ok = s.tickAt, uint64(s.ticks[s.tickNext]), fromTick, true
 	}
-	if len(s.trans.keys) > 0 && !s.trans.paused {
+	if len(s.trans.keys) > 0 {
 		if k := &s.trans.keys[0]; !ok || keyLess(k.at, k.seq, at, seq) {
 			at, seq, src, ok = k.at, k.seq, fromTrans, true
 		}
@@ -140,18 +134,10 @@ type transKey struct {
 // -1 when none is pending; pos is indexed by node id and shared by every
 // shard's heap, and each node belongs to exactly one shard, so the
 // shards touch disjoint entries. mask extracts the node id from a key.
-//
-// A paused heap is hidden from the shard's head: its keys are those of
-// transitions suspended at pausedAt, and stay in place until resume.
-// Removals keep it a valid heap in the meantime; rewriting keys in place
-// does not, so a resume follows heapify.
 type transHeap struct {
 	keys []transKey
 	pos  []int32
 	mask uint64
-
-	paused   bool
-	pausedAt float64
 }
 
 func (h *transHeap) less(i, j int) bool {
@@ -163,25 +149,6 @@ func (h *transHeap) swap(i, j int) {
 	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
 	h.pos[h.keys[i].seq&h.mask] = int32(i)
 	h.pos[h.keys[j].seq&h.mask] = int32(j)
-}
-
-// pause hides the heap from the shard's head from time at on.
-func (h *transHeap) pause(at float64) {
-	h.paused = true
-	h.pausedAt = at
-}
-
-// resume shows the heap to the shard's head again.
-func (h *transHeap) resume() { h.paused = false }
-
-// heapify restores the heap order of keys rewritten in place (Floyd's
-// bottom-up construction), keeping pos in step.
-func (h *transHeap) heapify() {
-	if n := len(h.keys); n > 1 {
-		for i := n/2 - 1; i >= 0; i-- {
-			h.down(i)
-		}
-	}
 }
 
 // set makes (at, seq) node's pending transition, replacing in place any

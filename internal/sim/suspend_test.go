@@ -13,27 +13,14 @@ import (
 
 // The suspension rules, each checked on a three-node Capture clique
 // whose handlers are driven by hand: node 0 starts a transmission at t0,
-// freezing nodes 1 and 2, and its hold ends at t1. Every rule is checked
-// on both freeze paths: the clique shard's paused heap, and per-node
-// suspension (the path of every non-clique shard).
-
-// bothPaths runs f once on the clique pause and once with it disabled.
-func bothPaths(t *testing.T, f func(t *testing.T, perNode bool)) {
-	for _, perNode := range []bool{false, true} {
-		name := "pause"
-		if perNode {
-			name = "per-node"
-		}
-		t.Run(name, func(t *testing.T) { f(t, perNode) })
-	}
-}
+// freezing nodes 1 and 2, and its hold ends at t1.
 
 // handClique builds the clique, seeds every node's first transition,
 // and returns it with t0, a time before any of those transitions is
-// due. perNode disables the clique pause. leave0 is when node 0 departs
-// under churn (+Inf: never), and leave1 the same for node 1; a departed
-// transmitter releases the channel at its next packet end.
-func handClique(t *testing.T, perNode bool, leave0, leave1 *float64, mut func(*Config)) (*coordinator, float64) {
+// due. leave0 is when node 0 departs under churn (+Inf: never), and
+// leave1 the same for node 1; a departed transmitter releases the
+// channel at its next packet end.
+func handClique(t *testing.T, leave0, leave1 *float64, mut func(*Config)) (*coordinator, float64) {
 	t.Helper()
 	cfg := Config{
 		Network:   model.Homogeneous(3, 60*model.MicroWatt, 500*model.MicroWatt, 500*model.MicroWatt),
@@ -64,10 +51,6 @@ func handClique(t *testing.T, perNode bool, leave0, leave1 *float64, mut func(*C
 		t.Fatal(err)
 	}
 	c := newCoordinator(cfg, flt, 1)
-	if !c.shards[0].clique {
-		t.Fatal("the three-node clique shard is not marked a clique")
-	}
-	c.shards[0].clique = !perNode
 	c.start()
 	first := math.Inf(1)
 	for i := 0; i < c.n; i++ {
@@ -102,46 +85,43 @@ func never() *float64 { v := math.Inf(1); return &v }
 // frees up at t1 it is re-armed at t1 + (at - t0) under a fresh key,
 // with no draw on its stream.
 func TestSuspendKeepsResidual(t *testing.T) {
-	bothPaths(t, func(t *testing.T, perNode bool) {
-		leave0 := math.Inf(1)
-		c, t0 := handClique(t, perNode, &leave0, never(), nil)
-		before, _ := pending(c, 1)
-		stream := c.rngs[1]
+	leave0 := math.Inf(1)
+	c, t0 := handClique(t, &leave0, never(), nil)
+	before, _ := pending(c, 1)
+	stream := c.rngs[1]
 
-		transmitAt(c, 0, t0)
-		if !c.hot[1].has(fSuspended) {
-			t.Fatal("the sleeper was not suspended")
-		}
+	transmitAt(c, 0, t0)
+	if !c.hot[1].has(fSuspended) {
+		t.Fatal("the sleeper was not suspended")
+	}
+	if _, ok := pending(c, 1); ok {
+		t.Fatal("a suspended transition stayed in the heap")
+	}
 
-		t1 := t0 + c.packetTime
-		leave0 = t1 // node 0 departs, so its hold ends with the first packet
-		c.now = t1
-		c.handlePacketEnd(0)
-		after, ok := pending(c, 1)
-		if want := t1 + (before.at - t0); !ok || after.at != want {
-			t.Fatalf("after the release: pending %t at %v, want %v", ok, after.at, want)
-		}
-		if after.seq == before.seq {
-			t.Fatal("the re-armed transition kept its old key")
-		}
-		if c.hot[1].has(fSuspended) {
-			t.Fatal("still suspended after the release")
-		}
-		if c.rngs[1] != stream {
-			t.Fatal("the freeze and release drew from the node's stream")
-		}
-	})
+	t1 := t0 + c.packetTime
+	leave0 = t1 // node 0 departs, so its hold ends with the first packet
+	c.now = t1
+	c.handlePacketEnd(0)
+	after, ok := pending(c, 1)
+	if want := t1 + (before.at - t0); !ok || after.at != want {
+		t.Fatalf("after the release: pending %t at %v, want %v", ok, after.at, want)
+	}
+	if after.seq == before.seq {
+		t.Fatal("the re-armed transition kept its old key")
+	}
+	if c.hot[1].has(fSuspended) {
+		t.Fatal("still suspended after the release")
+	}
+	if c.rngs[1] != stream {
+		t.Fatal("the freeze and release drew from the node's stream")
+	}
 }
 
 // A multiplier tick during the freeze may change the rates, so it drops
 // the suspension and the unfreeze draws a fresh dwell.
 func TestSuspendDroppedByTick(t *testing.T) {
-	bothPaths(t, testSuspendDroppedByTick)
-}
-
-func testSuspendDroppedByTick(t *testing.T, perNode bool) {
 	leave0 := math.Inf(1)
-	c, t0 := handClique(t, perNode, &leave0, never(), nil)
+	c, t0 := handClique(t, &leave0, never(), nil)
 	before, _ := pending(c, 1)
 	transmitAt(c, 0, t0)
 
@@ -172,12 +152,8 @@ func testSuspendDroppedByTick(t *testing.T, perNode bool) {
 // the carrier frees up: churn has no boundary events, so the unfreeze
 // itself must check presence.
 func TestSuspendChurnDeparture(t *testing.T) {
-	bothPaths(t, testSuspendChurnDeparture)
-}
-
-func testSuspendChurnDeparture(t *testing.T, perNode bool) {
 	leave0, leave1 := math.Inf(1), math.Inf(1)
-	c, t0 := handClique(t, perNode, &leave0, &leave1, nil)
+	c, t0 := handClique(t, &leave0, &leave1, nil)
 	stream := c.rngs[1]
 	transmitAt(c, 0, t0)
 	if !c.hot[1].has(fSuspended) {
@@ -203,11 +179,7 @@ func testSuspendChurnDeparture(t *testing.T, perNode bool) {
 // A crash of the transmitter releases the channel, and its frozen
 // neighbors resume from their residuals.
 func TestSuspendTransmitterCrash(t *testing.T) {
-	bothPaths(t, testSuspendTransmitterCrash)
-}
-
-func testSuspendTransmitterCrash(t *testing.T, perNode bool) {
-	c, t0 := handClique(t, perNode, never(), never(), nil)
+	c, t0 := handClique(t, never(), never(), nil)
 	before := [3]transKey{}
 	streams := slices.Clone(c.rngs)
 	for j := 1; j < 3; j++ {
@@ -242,11 +214,7 @@ func testSuspendTransmitterCrash(t *testing.T, perNode bool) {
 // its suspension: the forced sleep cancels its transition, and a
 // depleted sleeper gets no timer.
 func TestSuspendDroppedByForcedSleep(t *testing.T) {
-	bothPaths(t, testSuspendDroppedByForcedSleep)
-}
-
-func testSuspendDroppedByForcedSleep(t *testing.T, perNode bool) {
-	c, t0 := handClique(t, perNode, never(), never(), func(cfg *Config) {
+	c, t0 := handClique(t, never(), never(), func(cfg *Config) {
 		cfg.HardBatteryFloor = true
 		cfg.InitialBattery = 1e-3
 	})
