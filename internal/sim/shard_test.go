@@ -14,19 +14,6 @@ import (
 	"econcast/internal/topology"
 )
 
-// runLogged runs cfg with a full event trace attached and returns the
-// metrics plus the trace.
-func runLogged(t *testing.T, cfg Config) (*Metrics, string) {
-	t.Helper()
-	var log strings.Builder
-	cfg.EventLog = &log
-	m, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, log.String()
-}
-
 // assertShardEquivalence is the core contract check of the sharded
 // engine: for every requested shard count, the full event trace must be
 // byte-identical to the reference run's on one shard (Shards: 1) and the
@@ -73,24 +60,6 @@ func clip(s string, at int) string {
 		hi = len(s)
 	}
 	return s[lo:hi]
-}
-
-// gridCfg is a busy 6x6 grid: budgets high enough that transmissions,
-// holds, and hidden-terminal collisions all occur frequently.
-func gridCfg(seed uint64) Config {
-	n := 36
-	return Config{
-		Network:  model.Homogeneous(n, 60*model.MicroWatt, 500*model.MicroWatt, 500*model.MicroWatt),
-		Topology: topology.Grid(6, 6),
-		Protocol: Protocol{
-			Mode:    model.Groupput,
-			Variant: econcast.Capture,
-			Sigma:   0.5,
-		},
-		Duration: 300,
-		Warmup:   50,
-		Seed:     seed,
-	}
 }
 
 func TestShardEquivalenceGridCapture(t *testing.T) {
