@@ -77,11 +77,11 @@ func TestFaultedSweepsIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestScaleSweepIdenticalAcrossWorkerCounts pins the sharded engine's
-// contract through the sweep layer: the scale experiment fans sharded
-// multi-thousand-node sims out as sweep cells, and its deterministic
-// table must be byte-identical at workers 1, 4, and 16 — the engine's
-// shard count and the pool's worker count are both unobservable.
+// TestScaleSweepIdenticalAcrossWorkerCounts pins the engine's contract
+// through the sweep layer: the scale experiment fans multi-thousand-node
+// sims out as sweep cells, and its deterministic table must be
+// byte-identical at workers 1, 4, and 16 — the pool's worker count is
+// unobservable.
 func TestScaleSweepIdenticalAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sim-backed sweep in -short mode")

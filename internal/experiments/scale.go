@@ -16,7 +16,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "scale",
-		Title: "Scale: sharded spatial-interference engine on grids and RGGs, N = 1k-100k",
+		Title: "Scale: spatial-interference engine on grids and RGGs, N = 1k-100k",
 		Run:   runScale,
 	})
 }
@@ -36,7 +36,6 @@ type scaleCase struct {
 // the deterministic simulation outputs plus the (nondeterministic)
 // wall-clock cost, kept in separate tables downstream.
 type scaleResult struct {
-	shards  int
 	events  int
 	packets int
 	group   float64
@@ -66,9 +65,8 @@ func rggCase(n int, duration, warmup float64) scaleCase {
 	}
 }
 
-// runScale sweeps the sharded engine across topology size on grid and
-// random-geometric families. Each cell is one sim run on the sharded
-// engine (about 1024 nodes per shard, the auto-selection target); the
+// runScale sweeps the engine across topology size on grid and
+// random-geometric families. Each cell is one sim run; the
 // deterministic outputs land in the first table, and in full mode a
 // second table reports the wall-clock throughput of each cell.
 func runScale(opts Options) ([]*Table, error) {
@@ -93,10 +91,6 @@ func runScale(opts Options) ([]*Table, error) {
 
 	results, err := sweep.Map(opts.Workers, cases, func(ci int, sc scaleCase) (scaleResult, error) {
 		begin := time.Now() //lint:allow wallclock throughput is this experiment's measurement; no simulated quantity reads it
-		shards := sc.n / 1024
-		if shards < 2 {
-			shards = 2
-		}
 		topo := sc.build(rng.New(rng.DeriveSeed(opts.Seed, 71, uint64(ci), 1)))
 		m, err := sim.Run(sim.Config{
 			Network:  model.Homogeneous(sc.n, 60*model.MicroWatt, 500*model.MicroWatt, 500*model.MicroWatt),
@@ -105,13 +99,11 @@ func runScale(opts Options) ([]*Table, error) {
 			Duration: sc.duration,
 			Warmup:   sc.warmup,
 			Seed:     rng.DeriveSeed(opts.Seed, 71, uint64(ci), 2),
-			Shards:   shards,
 		})
 		if err != nil {
 			return scaleResult{}, err
 		}
 		return scaleResult{
-			shards:  shards,
 			events:  m.Events,
 			packets: m.PacketsSent,
 			group:   m.Groupput,
@@ -123,15 +115,15 @@ func runScale(opts Options) ([]*Table, error) {
 	}
 
 	det := &Table{
-		Name: "Scale: sharded engine, ~1k nodes/shard (rho=60uW, L=X=500uW, sigma=0.5)",
-		Notes: "byte-identical to a one-shard run at every shard and worker count; " +
+		Name: "Scale: event engine (rho=60uW, L=X=500uW, sigma=0.5)",
+		Notes: "byte-identical at every worker count; " +
 			"horizons shrink with N so cells dispatch comparable event counts",
-		Head: []string{"topology", "N", "shards", "events", "packets", "groupput(agg)"},
+		Head: []string{"topology", "N", "events", "packets", "groupput(agg)"},
 	}
 	for i, sc := range cases {
 		r := results[i]
 		det.Rows = append(det.Rows, []string{
-			sc.name, fmt.Sprint(sc.n), fmt.Sprint(r.shards),
+			sc.name, fmt.Sprint(sc.n),
 			fmt.Sprint(r.events), fmt.Sprint(r.packets), f4(r.group),
 		})
 	}

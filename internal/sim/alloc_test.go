@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"econcast/internal/econcast"
 	"econcast/internal/faults"
@@ -9,13 +10,11 @@ import (
 	"econcast/internal/topology"
 )
 
-// warmCoordinator builds a coordinator with the given shard count,
-// sets its batch limit to one so each step drives exactly one event
-// through the full dispatch path (shard pick, lookahead bound, dispatch,
-// heap repair), and pumps it past its transient: queue capacities and
-// listener slots are at their high-water marks, so subsequent steps
-// exercise pure steady state. cfg's horizon must lie beyond the pump.
-func warmCoordinator(tb testing.TB, cfg Config, shards int) *coordinator {
+// warmCoordinator builds a coordinator and pumps it past its transient,
+// one event per step: queue capacities and listener slots are at their
+// high-water marks, so subsequent steps exercise pure steady state.
+// cfg's horizon must lie beyond the pump.
+func warmCoordinator(tb testing.TB, cfg Config) *coordinator {
 	tb.Helper()
 	if err := cfg.validate(); err != nil {
 		tb.Fatal(err)
@@ -24,8 +23,7 @@ func warmCoordinator(tb testing.TB, cfg Config, shards int) *coordinator {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c := newCoordinator(cfg, flt, shards)
-	c.batchLimit = 1
+	c := newCoordinator(cfg, flt)
 	c.start()
 	for i := 0; i < 200_000; i++ {
 		if !c.step() {
@@ -35,8 +33,8 @@ func warmCoordinator(tb testing.TB, cfg Config, shards int) *coordinator {
 	return c
 }
 
-// steadyEngine is the reference steady-state loop: one coordinator
-// shard on an 8-node clique with an effectively infinite horizon.
+// steadyEngine is the reference steady-state loop: an 8-node clique
+// with an effectively infinite horizon.
 func steadyEngine(tb testing.TB) *coordinator {
 	tb.Helper()
 	nw := model.Homogeneous(8, 10*model.MicroWatt, 500*model.MicroWatt, 500*model.MicroWatt)
@@ -54,7 +52,7 @@ func steadyEngine(tb testing.TB) *coordinator {
 		Seed:      1,
 		FreezeEta: true,
 	}
-	return warmCoordinator(tb, cfg, 1)
+	return warmCoordinator(tb, cfg)
 }
 
 // BenchmarkEventLoop measures one discrete event through the serial
@@ -99,9 +97,9 @@ func TestEventLoopSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkEventLoopNonClique is the grid-topology variant on one
-// shard: non-clique runs additionally exercise hidden-terminal
-// collisions, which must also stay allocation-free.
+// BenchmarkEventLoopNonClique is the grid-topology variant: non-clique
+// runs additionally exercise hidden-terminal collisions, which must also
+// stay allocation-free.
 func BenchmarkEventLoopNonClique(b *testing.B) {
 	nw := model.Homogeneous(25, 10*model.MicroWatt, 500*model.MicroWatt, 500*model.MicroWatt)
 	cfg := Config{
@@ -112,7 +110,7 @@ func BenchmarkEventLoopNonClique(b *testing.B) {
 		Warmup:   1e17,
 		Seed:     1,
 	}
-	c := warmCoordinator(b, cfg, 1)
+	c := warmCoordinator(b, cfg)
 	b.ReportAllocs()
 	events := c.met.Events
 	b.ResetTimer()
@@ -122,4 +120,12 @@ func BenchmarkEventLoopNonClique(b *testing.B) {
 		}
 	}
 	reportNsPerEvent(b, c, events)
+}
+
+// TestNodeHotSize pins the SoA compaction contract: the hot per-node
+// record is exactly one cache line.
+func TestNodeHotSize(t *testing.T) {
+	if s := unsafe.Sizeof(nodeHot{}); s != 64 {
+		t.Fatalf("nodeHot is %d bytes, want 64", s)
+	}
 }

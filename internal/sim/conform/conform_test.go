@@ -120,7 +120,7 @@ func catalogue(t testing.TB) []scenario {
 	cat = append(cat, churn)
 
 	// A 3x3 grid, with eta frozen at its clique value: hidden terminals
-	// and partial carrier sense, several shards' worth of structure.
+	// and partial carrier sense.
 	grid := frozen("grid3x3-C-groupput", hom(9, 60), econcast.Capture, model.Groupput)
 	grid.gibbs = false
 	grid.cfg.Topology = topology.Grid(3, 3)

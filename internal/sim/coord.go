@@ -1,36 +1,29 @@
-// The event engine. Every run goes through the coordinator: it
-// partitions nodes into spatial shards (internal/topology's Partition;
-// a clique, or any topology below autoShardMinN nodes, is one shard),
-// gives each shard its own event heaps, and keeps node state in flat
-// per-node arrays — every dispatch-path scalar packed into one cache
-// line per node — so the per-event working set is dense. Each node has
-// at most one pending transition, held in its shard's indexed
-// transition heap with its key inline: a resample replaces it in place
-// (a fired transition's own re-arm included: it stays at the root while
-// its handler runs) and a departure or crash cancels it there, so
-// superseded transitions never linger in a heap. A carrier freeze
-// suspends it instead: the residual dwell moves into the node's hot
-// line and is re-armed, with no draw, when the carrier frees up (see
-// freeze; memorylessness keeps the law). Multiplier ticks never enter
-// a heap: every node ticks at the same instants, so each shard walks
-// its nodes with a tick cursor. Rates that depend on the multiplier
-// alone are memoized per multiplier epoch. Dispatch order is one global
-// (time, key) order: the coordinator maintains an indexed min-heap over
-// shard heads and lets the leading shard drain a run of events
-// conservatively bounded by the earliest event of any other shard (the
-// lookahead bound), resynchronizing whenever an event pushes across a
-// shard boundary. With one shard the bound is infinite and the whole
-// run is a single batch. Because the dispatch order, the per-node RNG
-// streams, and the content-derived event keys do not depend on the
-// partition, results are byte-identical by construction — for any
-// shard count, and at any sweep worker count above it.
+// The event engine: one discrete-event loop per run. The coordinator
+// keeps node state in flat per-node arrays — every dispatch-path scalar
+// packed into one cache line per node — so the per-event working set is
+// dense, and owns the run's three event sources: the event queue (packet
+// ends and fault boundaries), the transition heap, and the tick cursor.
+// step dispatches the earliest of their heads in the global (time, key)
+// order. Each node has at most one pending transition, held in the
+// indexed transition heap with its key inline: a resample replaces it in
+// place (a fired transition's own re-arm included: it stays at the root
+// while its handler runs) and a departure or crash cancels it there, so
+// superseded transitions never linger in the heap. A carrier freeze
+// suspends it instead: the residual dwell moves into the node's hot line
+// and is re-armed, with no draw, when the carrier frees up (see freeze;
+// memorylessness keeps the law). Multiplier ticks never enter a heap:
+// every node ticks at the same instants, so a cursor walks the nodes in
+// ascending order. Rates that depend on the multiplier alone are
+// memoized per multiplier epoch. Event keys are content-derived (per-node
+// Lamport clocks) and every RNG draw comes from the stream of the node it
+// realizes, so a run's output depends on nothing but its Config — the
+// same bytes at any sweep worker count.
 //
 // The per-event cost is O(degree) regardless of N: instead of walking
 // every in-flight packet's listeners on each transmission start to find
 // hidden-terminal collisions, the coordinator inverts the listener
 // relation into a per-node counter (listeningTo), so a start checks
-// only its own neighbors; and on large topologies each shard's event
-// heap stays small enough that heap churn is cache-resident.
+// only its own neighbors.
 package sim
 
 import (
@@ -45,9 +38,9 @@ import (
 	"econcast/internal/topology"
 )
 
-// coordinator is the engine: SoA node state, the shard scheduling
-// structures, and the dispatch clock and counters. One goroutine drives
-// it; the event handlers are its methods.
+// coordinator is the engine: SoA node state, the event sources, and the
+// dispatch clock and counters. One goroutine drives it; the event
+// handlers are its methods.
 //
 //lint:owner sim-engine the event-loop goroutine owns all coordinator state
 type coordinator struct {
@@ -66,31 +59,28 @@ type coordinator struct {
 	curLamport uint64
 	measuring  bool
 
-	shards []shardRuntime
+	// The event sources. queue holds packet ends and fault boundaries;
+	// trans holds each node's pending transition, at most one per node.
+	queue eventQueue
+	trans transHeap
 
-	// order is an indexed binary min-heap of shard ids keyed by each
-	// shard's earliest event (at, seq); pos[s] is shard s's position in
-	// order, -1 while its heaps are empty or while it is the detached
-	// current shard. The draining shard is removed from the heap for the
-	// duration of its batch, so the heap stays fully valid and every
-	// cross-shard push or cancel can repair its target's position
-	// immediately.
-	order   []int32
-	pos     []int32
-	current int32 // shard being drained; pushes elsewhere set crossed
-	crossed bool
-	done    bool // horizon reached
+	// The multiplier-tick cursor. Every node ticks at the same instants
+	// tau, 2tau, ..., computed by the same float additions for every node,
+	// so the coordinator walks the nodes in ascending id instead of
+	// queueing one tick per node: tickNext is the next node due at tickAt,
+	// and tickAt advances by tau when the cursor wraps. The tick's key is
+	// (tickAt, node) with Lamport 0, which sorts before every other event
+	// at that instant.
+	tickAt   float64
+	tickNext int
 
-	// batchLimit caps events per drain batch; 0 means unlimited. The
-	// benchmarks set 1 so ns/op measures exactly one event through the
-	// full dispatch path.
-	batchLimit int
+	done bool // horizon reached
 
 	// rngs holds one independent stream per node (derived from the run
 	// seed via rng.DeriveSeed); every draw is attributed to the node whose
 	// transition, packet decision, or estimate it realizes, so each
 	// stream's draw sequence is a function of that node's event history
-	// alone — identical at every shard count.
+	// alone.
 	rngs []rng.Source
 
 	// tickLam[i] is the Lamport clock node i's next multiplier tick
@@ -102,9 +92,9 @@ type coordinator struct {
 	// hot is the cache-line-packed per-node state: one 64-byte record
 	// per node holding every scalar the dispatch path reads or writes —
 	// the node's dynamic state, its Lamport clock, its packet slot's
-	// scalars, the listener counter, and its shard and parameter-block
-	// indices — so an event on a node loads one line of per-node state
-	// besides its protocol core.
+	// scalars, the listener counter, and its parameter-block index — so
+	// an event on a node loads one line of per-node state besides its
+	// protocol core.
 	hot []nodeHot
 
 	// cores is the per-node protocol dynamic state (64 bytes each);
@@ -129,13 +119,6 @@ type coordinator struct {
 	// a subset of neighbors, so starting a packet never reallocates.
 	nbr          [][]int
 	pktListeners [][]int
-
-	// headAt/headSeq cache each shard's earliest-event key. shardLess
-	// reads these two dense arrays (hot in cache at any shard count)
-	// instead of chasing into per-shard heap storage; fix refreshes a
-	// shard's entry whenever its head may have changed.
-	headAt  []float64
-	headSeq []uint64
 
 	logging    bool
 	packetTime float64
@@ -178,11 +161,10 @@ type nodeHot struct {
 	// neighbor instead of a scan over every nearby in-flight packet.
 	listeningTo int32
 	pktBurstLen int32 // packets already sent in the slot's current hold
-	shardOf     int32 // owning shard; immutable after construction
 	paramOf     int32 // index into coordinator.params; immutable
 	state       model.State
 	flags       uint8
-	_           [6]byte // pad to 64 bytes; see TestNodeHotSize
+	_           [10]byte // pad to 64 bytes; see TestNodeHotSize
 }
 
 // rateMemo caches the carrier-free rates of one node that depend on its
@@ -219,7 +201,7 @@ func (h *nodeHot) put(f uint8, v bool) {
 	}
 }
 
-func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
+func newCoordinator(cfg Config, flt *faults.Set) *coordinator {
 	n := cfg.Network.N()
 	c := &coordinator{
 		cfg:        cfg,
@@ -249,32 +231,12 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 	if cfg.TrackOccupancy {
 		c.met.Occupancy = make(map[model.NetState]float64)
 	}
-	part := topology.NewPartition(cfg.Topology, shards)
-	ns := part.Shards()
-	c.shards = make([]shardRuntime, ns)
-	owned := make([]int, ns)
-	for i := 0; i < n; i++ {
-		owned[part.ShardOf(i)]++
+	// The transition heap is pre-sized to its exact bound, one entry per
+	// node.
+	c.trans = transHeap{keys: make([]transKey, 0, n), pos: make([]int32, n), mask: 1<<c.shift - 1}
+	for i := range c.trans.pos {
+		c.trans.pos[i] = -1
 	}
-	// One heap position per node, shared by the shards' transition heaps;
-	// each heap is pre-sized to the nodes its shard owns, its exact bound.
-	tpos := make([]int32, n)
-	for i := range tpos {
-		tpos[i] = -1
-	}
-	for s := range c.shards {
-		c.shards[s].id = int32(s)
-		c.shards[s].trans = transHeap{keys: make([]transKey, 0, owned[s]), pos: tpos, mask: 1<<c.shift - 1}
-		c.shards[s].ticks = make([]int32, 0, owned[s])
-	}
-	c.order = make([]int32, 0, ns)
-	c.pos = make([]int32, ns)
-	c.headAt = make([]float64, ns)
-	c.headSeq = make([]uint64, ns)
-	for s := range c.pos {
-		c.pos[s] = -1
-	}
-	c.current = -1
 	degSum, maxDeg := 0, 0
 	for i := 0; i < n; i++ {
 		d := c.topo.Degree(i)
@@ -289,9 +251,6 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 		c.nbr[i] = nbrSlab[off : off+d : off+d]
 		c.pktListeners[i] = lstSlab[off : off : off+d]
 		off += d
-		s := part.ShardOf(i)
-		c.hot[i].shardOf = int32(s)
-		c.shards[s].ticks = append(c.shards[s].ticks, int32(i))
 		c.rngs[i] = *rng.New(rng.DeriveSeed(cfg.Seed, rngNodeDomain, uint64(i)))
 	}
 	// Parameter blocks are immutable and comparable, so identical nodes
@@ -300,19 +259,7 @@ func newCoordinator(cfg Config, flt *faults.Set, shards int) *coordinator {
 	seen := make(map[econcast.Params]int32, 1)
 	for i := 0; i < n; i++ {
 		nd := cfg.Network.Nodes[i]
-		pc := econcast.Config{
-			Mode:               cfg.Protocol.Mode,
-			Variant:            cfg.Protocol.Variant,
-			Sigma:              cfg.Protocol.Sigma,
-			Delta:              cfg.Protocol.Delta,
-			Tau:                cfg.Protocol.Tau,
-			Budget:             nd.Budget,
-			ListenPower:        nd.ListenPower,
-			TransmitPower:      nd.TransmitPower,
-			PacketTime:         cfg.Protocol.PacketTime,
-			InitialBattery:     cfg.InitialBattery,
-			ClampBatteryAtZero: cfg.HardBatteryFloor,
-		}
+		pc := cfg.nodeConfig(i)
 		if cfg.FreezeEta {
 			// A vanishing step makes the eq. (17) updates no-ops, keeping
 			// eta pinned to its warm-start value.
@@ -380,9 +327,7 @@ func (c *coordinator) run() {
 // events, so the fault-free hot path is untouched.
 func (c *coordinator) start() {
 	c.tau = c.params[0].Tau
-	for s := range c.shards {
-		c.shards[s].tickAt = c.tau
-	}
+	c.tickAt = c.tau
 	for i := 0; i < c.n; i++ {
 		c.scheduleTransition(i)
 		c.tickLam[i] = c.nextSeq(i) >> c.shift
@@ -391,44 +336,69 @@ func (c *coordinator) start() {
 			c.push(event{at: at, kind: evFault, node: node})
 		})
 	}
-	for s := range c.shards {
-		c.fix(int32(s)) // the tick cursor alone makes every shard non-empty
-	}
-	c.crossed = false
 }
 
-// step runs one coordinator round: pick the shard owning the globally
-// earliest event, detach it from the heap, let it drain up to the
-// conservative lookahead bound (the earliest event of any other shard —
-// the root of the remaining heap), and re-attach it. It returns false
-// once every shard is empty or the horizon was reached.
+// source names the event source holding the earliest event.
+type source uint8
+
+const (
+	fromQueue source = iota
+	fromTrans
+	fromTick
+)
+
+// head returns the earliest event key across the three sources and the
+// source it comes from. Keys are unique, so the heads never tie; the
+// tick cursor always has a next tick, so there always is a head.
+func (c *coordinator) head() (at float64, seq uint64, src source) {
+	at, seq, src = c.tickAt, uint64(c.tickNext), fromTick
+	if len(c.trans.keys) > 0 {
+		if k := &c.trans.keys[0]; keyLess(k.at, k.seq, at, seq) {
+			at, seq, src = k.at, k.seq, fromTrans
+		}
+	}
+	if len(c.queue) > 0 && keyLess(c.queue[0].at, c.queue[0].seq, at, seq) {
+		return c.queue[0].at, c.queue[0].seq, fromQueue
+	}
+	return at, seq, src
+}
+
+// step dispatches the earliest event. It returns false, dispatching
+// nothing, once that event lies past the horizon.
 func (c *coordinator) step() bool {
-	if c.done || len(c.order) == 0 {
+	if c.done {
 		return false
 	}
-	s := c.order[0]
-	// Detach s for the duration of its batch: its head changes with every
-	// pop and push, and the eager cross-shard fixes in push are only sound
-	// against a heap that is valid everywhere. A stale s left at the root
-	// would let a pushed-to shard rise to the root from the other subtree
-	// without ever being compared against the true minimum of the
-	// remaining shards.
-	last := len(c.order) - 1
-	c.orderSwap(0, last)
-	c.order = c.order[:last]
-	c.pos[s] = -1
-	if last > 0 {
-		c.siftDown(0)
+	at, seq, src := c.head()
+	if at > c.horizon {
+		c.done = true
+		return false
 	}
-	boundAt := math.Inf(1)
-	boundSeq := uint64(0)
-	if len(c.order) > 0 {
-		b := c.order[0]
-		boundAt, boundSeq = c.headAt[b], c.headSeq[b]
+	switch src {
+	case fromTrans:
+		// Fire in place: the fired key stays at the root while its handler
+		// runs, so the handler's own arm replaces it with one sift-down and
+		// a cancel removes it. It is sound because the fired key (now, seq)
+		// is <= every key present or pushed during the handler, so nothing
+		// rises above it. A handler that did neither leaves it to be
+		// removed here.
+		node := int(seq & c.trans.mask)
+		c.dispatch(event{at: at, seq: seq, kind: evTransition, node: node})
+		if len(c.trans.keys) > 0 && c.trans.keys[0].seq == seq {
+			c.trans.remove(node)
+		}
+	case fromTick:
+		node := c.tickNext
+		if c.tickNext++; c.tickNext == c.n {
+			c.tickNext = 0
+			c.tickAt += c.tau
+		}
+		c.clock(at, c.tickLam[node])
+		c.handleTick(node)
+	default:
+		c.dispatch(c.queue.pop())
 	}
-	c.shards[s].run(c, boundAt, boundSeq)
-	c.fix(s) // re-attach; a no-op if the batch drained the shard
-	return !c.done
+	return true
 }
 
 // drain performs the final energy (and occupancy) accrual to the horizon.
@@ -442,8 +412,8 @@ func (c *coordinator) drain() {
 	}
 }
 
-// dispatch realizes one event; the drain loop has already checked it
-// against the horizon.
+// dispatch realizes one event; step has already checked it against the
+// horizon.
 func (c *coordinator) dispatch(ev event) {
 	c.clock(ev.at, ev.seq>>c.shift)
 	switch ev.kind {
@@ -493,103 +463,10 @@ func (c *coordinator) nextSeq(i int) uint64 {
 	return l<<c.shift | uint64(i)
 }
 
-// push keys the event (nextSeq) and enqueues it on its node's shard,
-// repairing that shard's heap position eagerly when it is not the one
-// draining.
+// push keys the event (nextSeq) and enqueues it.
 func (c *coordinator) push(ev event) {
 	ev.seq = c.nextSeq(ev.node)
-	s := c.hot[ev.node].shardOf
-	c.shards[s].queue.push(ev)
-	if s != c.current {
-		c.crossed = true
-		c.fix(s)
-	}
-}
-
-// shardLess orders shards by their earliest event, read from the dense
-// head-key cache (refreshed by fix).
-func (c *coordinator) shardLess(a, b int32) bool {
-	if c.headAt[a] != c.headAt[b] { //lint:allow floateq exact tie detection so equal-time events fall through to the seq tiebreak
-		return c.headAt[a] < c.headAt[b]
-	}
-	return c.headSeq[a] < c.headSeq[b]
-}
-
-// fix restores shard s's position in the indexed heap after its head
-// may have changed (or the shard emptied or became non-empty),
-// refreshing its cached head key first. Sound only when every other
-// heap entry is clean — guaranteed because the draining shard is
-// detached and every cross-shard push, set or cancel fixes its target
-// immediately.
-func (c *coordinator) fix(s int32) {
-	i := c.pos[s]
-	at, seq, _, ok := c.shards[s].head()
-	if !ok {
-		if i < 0 {
-			return
-		}
-		last := len(c.order) - 1
-		c.orderSwap(int(i), last)
-		c.order = c.order[:last]
-		c.pos[s] = -1
-		if int(i) < last {
-			c.fixPos(int(i))
-		}
-		return
-	}
-	c.headAt[s], c.headSeq[s] = at, seq
-	if i < 0 {
-		c.pos[s] = int32(len(c.order))
-		c.order = append(c.order, s) //lint:allow hotalloc capacity reaches the shard count and stays
-		c.siftUp(len(c.order) - 1)
-		return
-	}
-	c.fixPos(int(i))
-}
-
-// fixPos re-heaps the element at position i: sift up, and only if it
-// did not rise, sift down (container/heap's Fix discipline).
-func (c *coordinator) fixPos(i int) {
-	s := c.order[i]
-	c.siftUp(i)
-	if c.pos[s] == int32(i) {
-		c.siftDown(i)
-	}
-}
-
-func (c *coordinator) orderSwap(i, j int) {
-	c.order[i], c.order[j] = c.order[j], c.order[i]
-	c.pos[c.order[i]] = int32(i)
-	c.pos[c.order[j]] = int32(j)
-}
-
-func (c *coordinator) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !c.shardLess(c.order[i], c.order[parent]) {
-			return
-		}
-		c.orderSwap(i, parent)
-		i = parent
-	}
-}
-
-func (c *coordinator) siftDown(i int) {
-	n := len(c.order)
-	for {
-		child := 2*i + 1
-		if child >= n {
-			return
-		}
-		if r := child + 1; r < n && c.shardLess(c.order[r], c.order[child]) {
-			child = r
-		}
-		if !c.shardLess(c.order[child], c.order[i]) {
-			return
-		}
-		c.orderSwap(i, child)
-		i = child
-	}
+	c.queue.push(ev)
 }
 
 // ---- handlers ----
@@ -604,8 +481,8 @@ func (c *coordinator) accrue(i int) {
 		// First accrual at or past the warmup boundary: advance exactly to
 		// the boundary, snapshot the battery for the Power metric, and
 		// continue from there. The split point is per-node and depends only
-		// on the node's own accrual history, so batteries come out
-		// bit-identical at every shard count.
+		// on the node's own accrual history, not on how the dispatch
+		// schedule interleaves nodes.
 		if dt := c.cfg.Warmup - h.lastUpdate; dt > 0 {
 			c.cores[i].Advance(c.pr(i), c.harvest[i], dt, h.state)
 		}
@@ -619,31 +496,18 @@ func (c *coordinator) accrue(i int) {
 	}
 }
 
-// cancel deletes node i's pending transition, if any, from its shard's
-// transition heap in place, and drops a suspended one. A cancel on a
-// foreign shard can only raise that shard's head, which leaves the
-// drain's lookahead bound conservative, so unlike a push it does not end
-// the batch; it still repairs the shard's heap position (a no-op when
-// nothing was pending).
+// cancel deletes node i's pending transition, if any, from the
+// transition heap in place, and drops a suspended one.
 func (c *coordinator) cancel(i int) {
 	c.hot[i].clear(fSuspended)
-	s := c.hot[i].shardOf
-	c.shards[s].trans.remove(i)
-	if s != c.current {
-		c.fix(s)
-	}
+	c.trans.remove(i)
 }
 
 // arm makes at node i's pending transition under a fresh key, replacing
 // any it had in place and dropping a suspended one.
 func (c *coordinator) arm(i int, at float64) {
 	c.hot[i].clear(fSuspended)
-	s := c.hot[i].shardOf
-	c.shards[s].trans.set(i, at, c.nextSeq(i))
-	if s != c.current {
-		c.crossed = true
-		c.fix(s)
-	}
+	c.trans.set(i, at, c.nextSeq(i))
 }
 
 // freeze stops node i's clock when its carrier turns busy. A node whose
@@ -662,13 +526,9 @@ func (c *coordinator) freeze(i int) {
 		c.scheduleTransition(i)
 		return
 	}
-	s := h.shardOf
-	if k, ok := c.shards[s].trans.remove(i); ok {
+	if k, ok := c.trans.remove(i); ok {
 		h.resid = k.at - c.now
 		h.set(fSuspended)
-	}
-	if s != c.current {
-		c.fix(s)
 	}
 }
 
@@ -1091,9 +951,9 @@ func (c *coordinator) flushBurst(i int) {
 
 // handleTick advances energy bookkeeping (forcing the eq. 17 update to
 // land exactly on the tau boundary) and resamples the node's transition,
-// since its rates depend on the refreshed multiplier. The shard's tick
-// cursor schedules the next tick; its Lamport clock is drawn here, where
-// the tick used to be queued.
+// since its rates depend on the refreshed multiplier. The tick cursor
+// schedules the next tick; its Lamport clock is drawn here, as if the
+// tick were queued.
 func (c *coordinator) handleTick(i int) {
 	c.accrue(i)
 	// Departure: an absent node abandons listening (transmitters finish

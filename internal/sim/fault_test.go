@@ -247,7 +247,7 @@ func TestFaultStressEventLoopAllocs(t *testing.T) {
 			Drift: &faults.Drift{Max: 0.01},
 		},
 	}
-	c := warmCoordinator(t, cfg, 1)
+	c := warmCoordinator(t, cfg)
 	avg := testing.AllocsPerRun(50_000, func() {
 		if !c.step() {
 			t.Fatal("queue drained")

@@ -127,10 +127,10 @@ func digest(s string) string {
 // frozen transitions instead of redrawing them, which changed every
 // sample path but not the law: internal/sim/conform compared it against
 // the redrawing engine before these replaced that engine's digests.
-// "hooks" was re-pinned when multiplier ticks moved to the per-shard
-// tick cursor: OnTick calls that share an instant now arrive in node
-// order, and the record equals the previous one once those lines are
-// sorted within each instant (the event log and metrics are unchanged).
+// "hooks" was re-pinned when multiplier ticks moved to the tick cursor:
+// OnTick calls that share an instant now arrive in node order, and the
+// record equals the previous one once those lines are sorted within
+// each instant (the event log and metrics are unchanged).
 var cliqueGolden = map[string]string{
 	"capture-groupput":       "f5ac57ac7d907b67d3811607929dde988f781ccceaf9c1163b96bae5b885ba06",
 	"capture-anyput":         "3309291f6f51e7075102357466f5d88a347af30491c295fa246f60b4de6db010",

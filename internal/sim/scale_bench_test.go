@@ -18,16 +18,13 @@ type scaleBenchCase struct {
 	label    string
 	topo     *topology.Topology
 	n        int
-	shards   int // 0 = auto (N/1024 above the auto threshold)
 	duration float64
 	warmup   float64
 }
 
 func scaleBenchCases() []scaleBenchCase {
 	return []scaleBenchCase{
-		// 1k sits below the auto-shard threshold; force the minimal sharded
-		// split so the sharded engine is measured at every N.
-		{label: "n=1k", topo: topology.Grid(32, 32), n: 1024, shards: 2, duration: 2.5, warmup: 0.5},
+		{label: "n=1k", topo: topology.Grid(32, 32), n: 1024, duration: 2.5, warmup: 0.5},
 		{label: "n=10k", topo: topology.Grid(100, 100), n: 10000, duration: 0.25, warmup: 0.05},
 		{label: "n=100k", topo: topology.Grid(316, 316), n: 99856, duration: 0.15, warmup: 0.02},
 	}
@@ -41,12 +38,11 @@ func (sc scaleBenchCase) config(seed uint64) Config {
 		Duration: sc.duration,
 		Warmup:   sc.warmup,
 		Seed:     seed,
-		Shards:   sc.shards,
 	}
 }
 
 // BenchmarkScaleGrid is the committed scale datapoint generator for
-// BENCH_PR9.json: aggregate sharded-engine throughput on grids at
+// BENCH_PR9.json: aggregate engine throughput on grids at
 // N = 1k/10k/100k, with 4 replicate sims fanned out as sweep cells at
 // worker counts 1/4/16 (clamped to the replicate count; on a 1-core
 // runner the aggregate is bounded by single-thread throughput). The
@@ -76,26 +72,6 @@ func BenchmarkScaleGrid(b *testing.B) {
 						b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "events/s")
 					}
 				})
-			}
-		})
-	}
-}
-
-// BenchmarkScaleGridUnsharded times one coordinator shard (Shards: 1)
-// against the sharded rows of the scale table (one replicate; 100k is
-// omitted to keep the pass short). With the O(degree) collision check
-// the remaining difference is heap depth and cache residency.
-func BenchmarkScaleGridUnsharded(b *testing.B) {
-	for _, sc := range scaleBenchCases()[:2] {
-		b.Run(sc.label, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := sc.config(rng.DeriveSeed(7, uint64(sc.n), 1))
-				cfg.Shards = 1
-				m, err := Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(m.Events)/b.Elapsed().Seconds(), "events/s")
 			}
 		})
 	}

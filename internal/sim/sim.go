@@ -120,23 +120,10 @@ type Config struct {
 	// so transitions take effect within one tau.
 	Churn func(node int, t float64) bool
 
-	// Shards controls how many spatial shards the coordinator splits a
-	// non-clique topology into: 0 auto-selects (one shard below
-	// autoShardMinN nodes, about autoShardNodes nodes per shard at or
-	// above it, whatever GOMAXPROCS is), 1 forces a single shard, and
-	// >= 2 forces about that many shards. Every shard count produces
-	// byte-identical results: the coordinator dispatches events in one
-	// global (at, seq) order, event keys are content-derived (per-node
-	// Lamport clocks), and every RNG draw comes from the stream of the
-	// node it realizes; shards reorganize data, not control flow. Cliques
-	// (a single interference domain) always run on one shard.
-	Shards int
-
-	// Parallel is ignored: every run is single-threaded on the
-	// coordinator, with the shard count Shards selects.
+	// Parallel is ignored: every run is one single-threaded event loop.
 	//
 	// Deprecated: the window-parallel engine it selected was removed
-	// (it ran slower than the coordinator; see DESIGN.md §9).
+	// (it ran slower than the single loop; see DESIGN.md §9).
 	Parallel int
 
 	// Faults, when non-nil, injects the shared fault processes
@@ -171,28 +158,32 @@ func (c *Config) validate() error {
 	if c.WarmEta != nil && len(c.WarmEta) != c.Network.N() {
 		return errors.New("sim: WarmEta length mismatch")
 	}
-	if !(c.Protocol.Sigma > 0) {
-		return errors.New("sim: sigma must be positive")
-	}
-	if c.Shards < 0 {
-		return errors.New("sim: shards must be non-negative")
+	for i := range c.Network.Nodes {
+		if err := c.nodeConfig(i).Validate(); err != nil {
+			return fmt.Errorf("sim: node %d: %w", i, err)
+		}
 	}
 	return nil
 }
 
-// Sharding auto-selection: non-clique topologies at or above
-// autoShardMinN nodes run on the sharded engine with about
-// autoShardNodes nodes per shard. With the collision scan inverted to
-// O(degree) (see coord.go), per-event cost no longer grows with shard
-// size, and what remains is the cross-shard machinery: smaller shards
-// mean more boundary crossings and a deeper coordinator heap. Measured
-// on 100x100 and 316x316 grids, throughput rises through 128, 256, and
-// 512 nodes per shard and flattens near 1000, so auto-selection
-// targets that plateau.
-const (
-	autoShardMinN  = 4096
-	autoShardNodes = 1024
-)
+// nodeConfig is node i's protocol configuration: the shared protocol
+// parameters and node i's hardware.
+func (c *Config) nodeConfig(i int) econcast.Config {
+	nd := c.Network.Nodes[i]
+	return econcast.Config{
+		Mode:               c.Protocol.Mode,
+		Variant:            c.Protocol.Variant,
+		Sigma:              c.Protocol.Sigma,
+		Delta:              c.Protocol.Delta,
+		Tau:                c.Protocol.Tau,
+		Budget:             nd.Budget,
+		ListenPower:        nd.ListenPower,
+		TransmitPower:      nd.TransmitPower,
+		PacketTime:         c.Protocol.PacketTime,
+		InitialBattery:     c.InitialBattery,
+		ClampBatteryAtZero: c.HardBatteryFloor,
+	}
+}
 
 // rngNodeDomain separates the per-node stream family from any other
 // DeriveSeed use of the run seed.
@@ -205,28 +196,6 @@ func seqShift(n int) uint {
 	return uint(bits.Len(uint(n)))
 }
 
-// shardPlan resolves the Shards setting to an effective shard count
-// for the coordinator; cliques and small topologies get one shard.
-func (c *Config) shardPlan() int {
-	if c.Topology == nil || c.Shards == 1 {
-		return 1
-	}
-	if c.Topology.IsClique() {
-		return 1
-	}
-	n := c.Topology.N()
-	if c.Shards >= 2 {
-		if c.Shards > n {
-			return n
-		}
-		return c.Shards
-	}
-	if n >= autoShardMinN {
-		return n / autoShardNodes
-	}
-	return 1
-}
-
 // Metrics are the outputs of a run, measured over (Warmup, Duration].
 type Metrics struct {
 	Window   float64 // measured seconds
@@ -237,8 +206,8 @@ type Metrics struct {
 	// whole run (including warmup): fired transitions, packet ends,
 	// multiplier ticks and fault boundaries. A transition cancelled or
 	// suspended before it came due is not an event. Identical at every
-	// shard and worker count, and the denominator of the events/sec
-	// scale benchmarks.
+	// sweep worker count, and the denominator of the events/sec scale
+	// benchmarks.
 	Events int
 
 	PacketsSent        int // packets transmitted
@@ -278,68 +247,9 @@ type event struct {
 	node int
 }
 
-// eventQueue is a binary min-heap over event values ordered by (at, seq)
-// — the shard heap for packet ends and fault boundaries (transitions
-// have transHeap, ticks the shard's tick cursor), with
-// sift-up/sift-down written directly against the slice. It
-// deliberately does not use container/heap: heap.Push and heap.Pop box
-// every event through interface{}, which allocates on each of the
-// millions of events a run processes; the direct heap keeps the
-// steady-state event loop allocation-free.
-type eventQueue []event
-
-func (q eventQueue) less(i, j int) bool {
-	if q[i].at != q[j].at { //lint:allow floateq exact tie detection so equal-time events fall through to the seq tiebreak
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-// push inserts e and restores the heap property by sifting it up.
-func (q *eventQueue) push(e event) {
-	*q = append(*q, e) //lint:allow hotalloc amortized queue growth; capacity is stable in steady state
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the earliest event, sifting the displaced tail
-// element down.
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	*q = h[:n]
-	h = h[:n]
-	i := 0
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && h.less(r, child) {
-			child = r
-		}
-		if !h.less(child, i) {
-			break
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
-	}
-	return top
-}
-
 // Run simulates the configuration and returns its metrics on the
-// coordinator (coord.go), with the shard count shardPlan picks. A nil
-// topology runs as the clique it stands for.
+// coordinator (coord.go). A nil topology runs as the clique it stands
+// for.
 func Run(cfg Config) (*Metrics, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -351,7 +261,7 @@ func Run(cfg Config) (*Metrics, error) {
 	if cfg.Topology == nil {
 		cfg.Topology = topology.Clique(cfg.Network.N())
 	}
-	c := newCoordinator(cfg, flt, cfg.shardPlan())
+	c := newCoordinator(cfg, flt)
 	c.run()
 	return c.finish(), nil
 }

@@ -43,6 +43,13 @@ func TestValidation(t *testing.T) {
 		func(c *Config) { c.Protocol.Sigma = 0 },
 		func(c *Config) { c.WarmEta = []float64{1} },
 		func(c *Config) { c.Topology = topology.Clique(3) },
+		// Timing that would keep the tick cursor or a packet end from
+		// ever passing the horizon, or poison the multiplier.
+		func(c *Config) { c.Protocol.Tau = -1 },
+		func(c *Config) { c.Protocol.Tau = math.NaN() },
+		func(c *Config) { c.Protocol.PacketTime = -1e-3 },
+		func(c *Config) { c.Protocol.PacketTime = math.NaN() },
+		func(c *Config) { c.Protocol.Delta = math.NaN() },
 	}
 	for i, mut := range bad {
 		c := baseCfg()

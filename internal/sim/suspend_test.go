@@ -50,7 +50,7 @@ func handClique(t *testing.T, leave0, leave1 *float64, mut func(*Config)) (*coor
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newCoordinator(cfg, flt, 1)
+	c := newCoordinator(cfg, flt)
 	c.start()
 	first := math.Inf(1)
 	for i := 0; i < c.n; i++ {
@@ -65,9 +65,8 @@ func handClique(t *testing.T, leave0, leave1 *float64, mut func(*Config)) (*coor
 
 // pending returns node i's pending transition, ok false when none.
 func pending(c *coordinator, i int) (transKey, bool) {
-	tr := &c.shards[c.hot[i].shardOf].trans
-	if p := tr.pos[i]; p >= 0 {
-		return tr.keys[p], true
+	if p := c.trans.pos[i]; p >= 0 {
+		return c.trans.keys[p], true
 	}
 	return transKey{}, false
 }
