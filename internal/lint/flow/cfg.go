@@ -1,7 +1,6 @@
 // Package flow is econlint's intraprocedural dataflow framework: a
 // control-flow graph over go/ast function bodies plus the classic
-// analyses the suite's flow-sensitive analyzers are built on —
-// dominators (shardflow's detach-before-drain proof), reaching
+// analyses the suite's flow-sensitive analyzers are built on — reaching
 // definitions (path-sensitive seedflow, loop-invariance for hotalloc's
 // hoist fix), liveness, and a small escape lattice (hotalloc's
 // per-iteration allocation check).
@@ -505,4 +504,27 @@ func (b *builder) branchStmt(s *ast.BranchStmt) {
 		}
 	}
 	b.cur = nil
+}
+
+// reversePostorder returns the reachable blocks in reverse postorder of
+// a depth-first walk from Entry following Succs in order. The walk is
+// fully deterministic: edge order is creation order.
+func (g *Graph) reversePostorder() []*Block {
+	seen := make(map[*Block]bool, len(g.Blocks))
+	var post []*Block
+	var walk func(b *Block)
+	walk = func(b *Block) {
+		seen[b] = true
+		for _, s := range b.Succs {
+			if !seen[s] {
+				walk(s)
+			}
+		}
+		post = append(post, b)
+	}
+	walk(g.Entry)
+	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
+		post[i], post[j] = post[j], post[i]
+	}
+	return post
 }

@@ -114,47 +114,4 @@ func checkGraph(t *testing.T, g *Graph) {
 			t.Fatalf("cond block %d has %d succs, want 2", b.Index, len(b.Succs))
 		}
 	}
-
-	reachable := make(map[*Block]bool)
-	var walk func(b *Block)
-	walk = func(b *Block) {
-		if reachable[b] {
-			return
-		}
-		reachable[b] = true
-		for _, s := range b.Succs {
-			walk(s)
-		}
-	}
-	walk(g.Entry)
-
-	dom := g.Dominators()
-	for _, b := range g.Blocks {
-		if !reachable[b] {
-			if dom.Idom(b) != nil {
-				t.Fatalf("unreachable block %d has an idom", b.Index)
-			}
-			continue
-		}
-		if !dom.Dominates(g.Entry, b) {
-			t.Fatalf("entry does not dominate reachable block %d", b.Index)
-		}
-		if b == g.Entry {
-			continue
-		}
-		id := dom.Idom(b)
-		if id == nil {
-			t.Fatalf("reachable block %d has no idom", b.Index)
-		}
-		if !reachable[id] {
-			t.Fatalf("idom of block %d is unreachable", b.Index)
-		}
-		if id == b || !dom.Dominates(id, b) {
-			t.Fatalf("idom of block %d does not strictly dominate it", b.Index)
-		}
-		// The idom must dominate every predecessor-path: spot-check
-		// that no predecessor is strictly dominated by b itself unless
-		// it is a back edge (b dominates p means p is in b's loop).
-		_ = id
-	}
 }

@@ -28,11 +28,9 @@ type hotEntry struct {
 // reachable from the entries and stays unconstrained.
 var hotEntries = map[string][]hotEntry{
 	"econcast/internal/sim": {
-		// The serial per-event path: the coordinator's round driver (shard
-		// pick, lookahead bound, heap repair) and the shard drain loop,
-		// from which dispatch and every handler are reachable.
+		// The per-event path: the event loop's step, from which head,
+		// dispatch and every handler are reachable.
 		{recv: "coordinator", method: "step"},
-		{recv: "shardRuntime", method: "run"},
 	},
 	"econcast/internal/asim": {
 		{recv: "broker", method: "loop"},
@@ -515,4 +513,10 @@ func recvTypeName(fd *ast.FuncDecl) string {
 		return id.Name
 	}
 	return ""
+}
+
+// isPanicCall matches a call to the builtin panic.
+func isPanicCall(c *ast.CallExpr) bool {
+	id, ok := ast.Unparen(c.Fun).(*ast.Ident)
+	return ok && id.Name == "panic"
 }

@@ -41,11 +41,6 @@
 //   - shardown: //lint:owner role domains are enforced — state owned by
 //     one goroutine role must not be touched from another except through
 //     a declared //lint:handoff boundary.
-//   - shardflow: the sharded engine's detach/eager-fix discipline is
-//     proven on the control-flow graph (internal/lint/flow): drains
-//     dominated by their detach, cross-shard pushes eagerly fixed on
-//     every path, shard methods fenced off the coordinator's SoA caches
-//     and control scalars.
 //
 // # Suppressions
 //
@@ -141,7 +136,7 @@ func (p *Pass) ReportfFix(pos token.Pos, fix *Fix, format string, args ...any) {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{MapRange, WallClock, FloatEq, RawGoroutine, ErrDrop, HotAlloc, ChanDir, SeedFlow, SharedState, UnitFlow, ShardOwn, ShardFlow}
+	return []*Analyzer{MapRange, WallClock, FloatEq, RawGoroutine, ErrDrop, HotAlloc, ChanDir, SeedFlow, SharedState, UnitFlow, ShardOwn}
 }
 
 // ByName returns the named analyzer, or nil.

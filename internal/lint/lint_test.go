@@ -119,9 +119,6 @@ func TestFixtures(t *testing.T) {
 		{"unitflow/outside-registry-pkg", "unitflow", "econcast/internal/viz", UnitFlow, true},
 		{"shardown", "shardown", "econcast/internal/asim", ShardOwn, false},
 		{"shardown/clean-engine", filepath.Join("shardown", "clean"), "econcast/internal/asim", ShardOwn, true},
-		{"shardflow", "shardflow", "econcast/internal/sim", ShardFlow, false},
-		{"shardflow/clean-engine", filepath.Join("shardflow", "clean"), "econcast/internal/sim", ShardFlow, true},
-		{"shardflow/outside-config", "shardflow", "econcast/internal/viz", ShardFlow, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

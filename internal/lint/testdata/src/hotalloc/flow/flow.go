@@ -5,7 +5,7 @@
 // loop-variant makes keep the plain diagnostic).
 package fixture
 
-type shardRuntime struct {
+type coordinator struct {
 	queue []int
 	sink  [][]byte
 	cap   int
@@ -15,20 +15,20 @@ func sprintf(format string, args ...any) string { _ = args; return format }
 
 func consume(bs []byte) int { return len(bs) }
 
-// run is the hot entry point; every method below is reachable from it.
-func (e *shardRuntime) run() {
-	e.step(4)
+// step is the hot entry point; every method below is reachable from it.
+func (e *coordinator) step() {
+	e.hoist(4)
 	e.variant(4)
 	e.escapes(4)
 	e.closures(4)
 	e.boxing(4, nil)
 }
 
-// step holds the hoistable shape: scratch's arguments are defined
+// hoist holds the hoistable shape: scratch's arguments are defined
 // outside the loop and the buffer never leaves its iteration (it is
 // only self-appended, ranged, and indexed), so the make can be hoisted
 // and the buffer reused.
-func (e *shardRuntime) step(n int) {
+func (e *coordinator) hoist(n int) {
 	for i := 0; i < n; i++ {
 		scratch := make([]byte, 0, 64) // want hotalloc
 		scratch = append(scratch, byte(i)) // want hotalloc
@@ -40,7 +40,7 @@ func (e *shardRuntime) step(n int) {
 
 // variant's make argument is redefined inside the loop, so the
 // allocation is not loop-invariant and keeps the plain diagnostic.
-func (e *shardRuntime) variant(n int) {
+func (e *coordinator) variant(n int) {
 	size := 8
 	for i := 0; i < n; i++ {
 		size = i
@@ -52,7 +52,7 @@ func (e *shardRuntime) variant(n int) {
 // escapes appends the buffer into an accumulator that outlives the
 // iteration: reusing one buffer would alias every element, so only the
 // plain diagnostic applies.
-func (e *shardRuntime) escapes(n int) {
+func (e *coordinator) escapes(n int) {
 	for i := 0; i < n; i++ {
 		buf := make([]byte, 0, 8) // want hotalloc
 		buf = append(buf, byte(i)) // want hotalloc
@@ -62,7 +62,7 @@ func (e *shardRuntime) escapes(n int) {
 
 // closures: a literal capturing locals allocates per event; one that
 // touches nothing outside itself compiles to a static function.
-func (e *shardRuntime) closures(n int) {
+func (e *coordinator) closures(n int) {
 	f := func() int { return n } // want hotalloc
 	g := func() int { return 1 }
 	_ = f() + g()
@@ -71,7 +71,7 @@ func (e *shardRuntime) closures(n int) {
 // boxing: concrete values bound to empty-interface parameters allocate.
 // Spread calls pass an existing slice, and panic arguments are not a
 // steady-state cost.
-func (e *shardRuntime) boxing(n int, args []any) {
+func (e *coordinator) boxing(n int, args []any) {
 	_ = sprintf("node %d of %d", n, e.cap) // want hotalloc,hotalloc
 	_ = sprintf("preboxed", args...)
 	if n < 0 {

@@ -1,25 +1,26 @@
 // Package fixture exercises the hotalloc analyzer: loaded as
 // econcast/internal/sim, everything statically reachable from
-// (*shardRuntime).run is the event loop and may not allocate; loaded
+// (*coordinator).step is the event loop and may not allocate; loaded
 // under a package with no hot entries (econcast/internal/viz) nothing
 // may be reported, and cold construction/teardown is never constrained.
 package fixture
 
 type event struct{ at float64 }
 
-type shardRuntime struct {
+type coordinator struct {
 	queue   []event
 	scratch []int
 	occ     map[int]float64
 }
 
-// run is the hot entry point; its whole call tree is the event loop.
-func (e *shardRuntime) run() {
+// run drives the loop; it allocates nothing itself.
+func (e *coordinator) run() {
 	for e.step() {
 	}
 }
 
-func (e *shardRuntime) step() bool {
+// step is the hot entry point; its whole call tree is the event loop.
+func (e *coordinator) step() bool {
 	buf := make([]int, 8) // want hotalloc
 	_ = buf
 	e.scratch = append(e.scratch, 1) // want hotalloc
@@ -28,8 +29,8 @@ func (e *shardRuntime) step() bool {
 	return len(e.queue) > 0
 }
 
-// handleTick is hot only transitively: run -> step -> handleTick.
-func (e *shardRuntime) handleTick() {
+// handleTick is hot only transitively: step -> handleTick.
+func (e *coordinator) handleTick() {
 	m := map[int]float64{0: 1} // want hotalloc
 	_ = m
 	e.grow()
@@ -42,22 +43,22 @@ func expand(xs []int) []int {
 }
 
 // grow shows the escape hatch for an audited amortized growth.
-func (e *shardRuntime) grow() {
+func (e *coordinator) grow() {
 	e.queue = append(e.queue, event{}) //lint:allow hotalloc amortized high-water growth, audited
 }
 
-// newShardRuntime is cold: it is not reachable from run, so
+// newCoordinator is cold: it is not reachable from step, so
 // construction-time allocation is unconstrained.
-func newShardRuntime(n int) *shardRuntime {
-	return &shardRuntime{
+func newCoordinator(n int) *coordinator {
+	return &coordinator{
 		queue:   make([]event, 0, n),
 		scratch: make([]int, 0, n),
 		occ:     map[int]float64{},
 	}
 }
 
-// finish is cold teardown, also unreachable from run.
-func (e *shardRuntime) finish() []float64 {
+// finish is cold teardown, also unreachable from step.
+func (e *coordinator) finish() []float64 {
 	out := make([]float64, len(e.queue))
 	for _, ev := range e.queue {
 		out = append(out, ev.at)

@@ -1,61 +1,60 @@
-// Package fixture exercises the hotalloc analyzer's sharded-engine
-// roots: loaded as econcast/internal/sim, everything statically
-// reachable from (*coordinator).step and (*shardRuntime).run is the
-// per-event path and may not allocate; loaded under a package with no
-// hot entries (econcast/internal/viz) nothing may be reported.
+// Package fixture exercises the hotalloc analyzer's event-loop root:
+// loaded as econcast/internal/sim, everything statically reachable from
+// (*coordinator).step is the per-event path and may not allocate, while
+// run, which only drives step, and start, which seeds the sources, are
+// cold; loaded under a package with no hot entries
+// (econcast/internal/viz) nothing may be reported.
 package fixture
 
 type event struct{ at float64 }
 
-type shardRuntime struct {
-	queue       []event
-	interferers []int32
-}
-
 type coordinator struct {
-	shards []shardRuntime
-	order  []int32
-	seen   map[int32]bool
+	queue []event
+	trans []int32
+	seen  map[int32]bool
 }
 
-// step is a hot entry: one coordinator round per call.
-func (c *coordinator) step() bool {
-	bounds := make([]float64, len(c.shards)) // want hotalloc
-	_ = bounds
-	c.shards[0].run(c)
-	c.fix(0)
-	return len(c.order) > 0
-}
-
-// run is the shard drain loop, itself a hot entry (and also reachable
-// from step).
-func (s *shardRuntime) run(c *coordinator) {
-	for len(s.queue) > 0 {
-		s.queue = s.queue[1:]
-		c.dispatch()
+// run drives the loop. It is not a hot entry, so its setup may
+// allocate.
+func (c *coordinator) run() {
+	c.start()
+	for c.step() {
 	}
 }
 
-// dispatch is hot only transitively: step -> run -> dispatch.
+// start seeds the event sources: cold, reachable only from run.
+func (c *coordinator) start() {
+	c.queue = make([]event, 0, 8)
+	c.trans = append(c.trans, 0)
+}
+
+// step is the hot entry: one event per call.
+func (c *coordinator) step() bool {
+	heads := make([]float64, 3) // want hotalloc
+	_ = heads
+	if len(c.queue) > 0 {
+		c.queue = c.queue[1:]
+	}
+	c.dispatch()
+	c.arm(0)
+	return len(c.queue) > 0
+}
+
+// dispatch is hot only transitively: step -> dispatch.
 func (c *coordinator) dispatch() {
 	c.seen = map[int32]bool{} // want hotalloc
 }
 
-// fix shows the escape hatch for audited amortized growth of the
-// coordinator's top-level heap.
-func (c *coordinator) fix(s int32) {
-	c.order = append(c.order, s) //lint:allow hotalloc capacity reaches the shard count and stays
+// arm shows the escape hatch for audited bounded growth of the
+// transition heap.
+func (c *coordinator) arm(node int32) {
+	c.trans = append(c.trans, node) //lint:allow hotalloc pre-sized to the node count, which bounds the heap
 }
 
-// newCoordinator is cold construction, unreachable from the entries.
+// newCoordinator is cold construction, unreachable from step.
 func newCoordinator(n int) *coordinator {
-	c := &coordinator{
-		shards: make([]shardRuntime, n),
-		order:  make([]int32, 0, n),
-		seen:   map[int32]bool{},
+	return &coordinator{
+		trans: make([]int32, 0, n),
+		seen:  map[int32]bool{},
 	}
-	for i := range c.shards {
-		c.shards[i].interferers = make([]int32, 0, 8)
-	}
-	return c
 }
