@@ -74,8 +74,6 @@ type coordinator struct {
 	tickAt   float64
 	tickNext int
 
-	done bool // horizon reached
-
 	// rngs holds one independent stream per node (derived from the run
 	// seed via rng.DeriveSeed); every draw is attributed to the node whose
 	// transition, packet decision, or estimate it realizes, so each
@@ -366,12 +364,8 @@ func (c *coordinator) head() (at float64, seq uint64, src source) {
 // step dispatches the earliest event. It returns false, dispatching
 // nothing, once that event lies past the horizon.
 func (c *coordinator) step() bool {
-	if c.done {
-		return false
-	}
 	at, seq, src := c.head()
 	if at > c.horizon {
-		c.done = true
 		return false
 	}
 	switch src {
