@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -47,7 +48,7 @@ func cliqueCases() []cliqueCase {
 			}
 		}},
 		{"occupancy", func(c *Config) { c.TrackOccupancy = true }},
-		{"hooks", func(c *Config) {}}, // the recorders are attached by goldenRecord
+		{"hooks", func(c *Config) {}}, // the recorders are attached by goldenDigest
 		{"churn", func(c *Config) {
 			c.Churn = func(node int, t float64) bool {
 				return node%3 != 1 || int(t/10)%2 == 0
@@ -90,43 +91,33 @@ func cliqueCases() []cliqueCase {
 	}
 }
 
-// runLogged runs cfg with a full event trace attached and returns the
-// metrics plus the trace.
-func runLogged(t *testing.T, cfg Config) (*Metrics, string) {
-	t.Helper()
-	var log strings.Builder
-	cfg.EventLog = &log
-	m, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, log.String()
-}
-
-// goldenRecord runs cfg and returns everything the run produced as
-// text: the full event trace, the OnDeliver/OnTick records (when hooks
-// is set), and %+v of the metrics.
-func goldenRecord(t *testing.T, cfg Config, hooks bool) string {
+// goldenDigest runs cfg and returns the sha256 of everything the run
+// produced as text: the full event trace, the OnDeliver/OnTick records
+// (when hooks is set), and %+v of the metrics. The trace is hashed as
+// it is written rather than kept: a 300 s grid run logs ~100 MB.
+func goldenDigest(t *testing.T, cfg Config, hooks bool) string {
 	t.Helper()
 	var rec strings.Builder
 	if hooks {
 		cfg.OnDeliver = func(tx, rx int, now float64) { fmt.Fprintf(&rec, "deliver %d %d %v\n", tx, rx, now) }
 		cfg.OnTick = func(node int, now, eta float64) { fmt.Fprintf(&rec, "tick %d %v %v\n", node, now, eta) }
 	}
-	m, log := runLogged(t, cfg)
-	return log + rec.String() + fmt.Sprintf("%+v\n", *m)
+	h := sha256.New()
+	cfg.EventLog = h
+	m, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.WriteString(h, rec.String())
+	fmt.Fprintf(h, "%+v\n", *m)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
-func digest(s string) string {
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:])
-}
-
-// cliqueGolden holds the sha256 of goldenRecord's output for every
-// clique case. The digests were produced by the engine that suspends
-// frozen transitions instead of redrawing them, which changed every
-// sample path but not the law: internal/sim/conform compared it against
-// the redrawing engine before these replaced that engine's digests.
+// cliqueGolden holds goldenDigest for every clique case. The digests
+// were produced by the engine that suspends frozen transitions instead
+// of redrawing them, which changed every sample path but not the law:
+// internal/sim/conform compared it against the redrawing engine before
+// these replaced that engine's digests.
 // "hooks" was re-pinned when multiplier ticks moved to the tick cursor:
 // OnTick calls that share an instant now arrive in node order, and the
 // record equals the previous one once those lines are sorted within
@@ -156,7 +147,7 @@ func TestCliqueGolden(t *testing.T) {
 			tc.mut(&cfg)
 			for _, topo := range []*topology.Topology{nil, topology.Clique(cfg.Network.N())} {
 				cfg.Topology = topo
-				if got := digest(goldenRecord(t, cfg, tc.name == "hooks")); got != cliqueGolden[tc.name] {
+				if got := goldenDigest(t, cfg, tc.name == "hooks"); got != cliqueGolden[tc.name] {
 					t.Errorf("explicit topology %t: digest %s, want %s", topo != nil, got, cliqueGolden[tc.name])
 				}
 			}
@@ -266,7 +257,7 @@ func nonCliqueCases() []nonCliqueCase {
 	}
 }
 
-// nonCliqueGolden holds the sha256 of goldenRecord's output for every
+// nonCliqueGolden holds goldenDigest for every
 // non-clique case, recorded on the sharded coordinator, whose output
 // was identical at every shard count.
 var nonCliqueGolden = map[string]string{
@@ -282,15 +273,18 @@ var nonCliqueGolden = map[string]string{
 }
 
 // TestNonCliqueGolden pins non-clique output: grids, a ring, a random
-// geometric graph, the star and the line, under faults and hooks.
+// geometric graph, the star and the line, under faults and hooks. The
+// cases run in parallel: each formats a 30-105 MB trace, which makes
+// this most of the package's test time.
 func TestNonCliqueGolden(t *testing.T) {
 	for _, tc := range nonCliqueCases() {
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			want := tc.want
 			if want == "" {
 				want = tc.name
 			}
-			if got := digest(goldenRecord(t, tc.cfg(), tc.hooks)); got != nonCliqueGolden[want] {
+			if got := goldenDigest(t, tc.cfg(), tc.hooks); got != nonCliqueGolden[want] {
 				t.Errorf("digest %s, want %s", got, nonCliqueGolden[want])
 			}
 		})

@@ -13,11 +13,11 @@ func keyLess(aAt float64, aSeq uint64, bAt float64, bSeq uint64) bool {
 // eventQueue is a binary min-heap over event values ordered by (at, seq)
 // — the heap for packet ends and fault boundaries (transitions have
 // transHeap, ticks the coordinator's tick cursor), with sift-up/sift-down
-// written directly against the slice. It
-// deliberately does not use container/heap: heap.Push and heap.Pop box
-// every event through interface{}, which allocates on each of the
-// millions of events a run processes; the direct heap keeps the
-// steady-state event loop allocation-free.
+// written directly against the slice. It deliberately does not use
+// container/heap: heap.Push and heap.Pop box every event through
+// interface{}, which allocates on each of the millions of events a run
+// processes; the direct heap keeps the steady-state event loop
+// allocation-free.
 type eventQueue []event
 
 func (q eventQueue) less(i, j int) bool {
