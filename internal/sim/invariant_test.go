@@ -44,9 +44,7 @@ func stepped(t *testing.T, cfg Config, check func(c *coordinator)) (*coordinator
 // dwells run past the horizon, and those entries are never popped. The
 // grid adds carrier-sense freezes and resamples of neighbors.
 func TestPendingEventsBounded(t *testing.T) {
-	grid := gridCfg(5)
-	grid.Network = model.Homogeneous(100, 60*model.MicroWatt, 500*model.MicroWatt, 500*model.MicroWatt)
-	grid.Topology = topology.Grid(10, 10)
+	grid := withNodes(gridCfg(5), topology.Grid(10, 10))
 	for _, tc := range []struct {
 		name string
 		cfg  Config

@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"econcast/internal/model"
 	"econcast/internal/topology"
 )
 
@@ -14,9 +13,7 @@ func TestTickCursorNodeOrder(t *testing.T) {
 		node int
 		now  float64
 	}
-	cfg := gridCfg(3)
-	cfg.Topology = topology.Grid(6, 9)
-	cfg.Network = model.Homogeneous(54, 60*model.MicroWatt, 500*model.MicroWatt, 500*model.MicroWatt)
+	cfg := withNodes(gridCfg(3), topology.Grid(6, 9))
 	cfg.Duration, cfg.Warmup = 20, 5
 	n := cfg.Network.N()
 	var ticks []tick
