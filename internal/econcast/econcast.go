@@ -98,20 +98,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every rate, power and time
+// scale must be positive and finite: an infinite one would freeze a node
+// or poison its multiplier without any error.
 func (c Config) Validate() error {
 	c = c.withDefaults()
-	if !(c.Sigma > 0) {
-		return fmt.Errorf("econcast: sigma %v must be positive", c.Sigma)
+	if !positiveFinite(c.Sigma) {
+		return fmt.Errorf("econcast: sigma %v must be positive and finite", c.Sigma)
 	}
-	if !(c.Budget > 0) || !(c.ListenPower > 0) || !(c.TransmitPower > 0) {
-		return errors.New("econcast: budget, listen and transmit power must be positive")
+	if !positiveFinite(c.Budget) || !positiveFinite(c.ListenPower) || !positiveFinite(c.TransmitPower) {
+		return errors.New("econcast: budget, listen and transmit power must be positive and finite")
 	}
-	if !(c.PacketTime > 0) || !(c.Tau > 0) || !(c.Delta > 0) {
-		return errors.New("econcast: packet time, tau and delta must be positive")
+	if !positiveFinite(c.PacketTime) || !positiveFinite(c.Tau) || !positiveFinite(c.Delta) {
+		return errors.New("econcast: packet time, tau and delta must be positive and finite")
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is in (0, +Inf); it is false for NaN.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Rates is the set of transition rates of eq. (18) in events per second,
 // already gated by carrier sense.

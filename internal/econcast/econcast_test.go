@@ -31,6 +31,13 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.TransmitPower = -1 },
 		func(c *Config) { c.PacketTime = -1 },
 		func(c *Config) { c.Delta = -0.1 },
+		func(c *Config) { c.Sigma = math.Inf(1) },
+		func(c *Config) { c.Budget = math.Inf(1) },
+		func(c *Config) { c.ListenPower = math.Inf(1) },
+		func(c *Config) { c.TransmitPower = math.Inf(1) },
+		func(c *Config) { c.PacketTime = math.Inf(1) },
+		func(c *Config) { c.Tau = math.Inf(1) },
+		func(c *Config) { c.Delta = math.Inf(1) },
 	}
 	for i, mut := range bad {
 		c := baseConfig()

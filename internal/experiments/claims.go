@@ -61,7 +61,7 @@ func runClaims(opts Options) ([]*Table, error) {
 		sigma float64
 		paper string
 	}{{0.5, "6x"}, {0.25, "17x"}} {
-		p4, err := statespace.SolveP4Homogeneous(n, node, c.sigma, model.Groupput, nil)
+		p4, err := statespace.SolveP4Typed([]int{n}, []model.Node{node}, c.sigma, model.Groupput, nil)
 		if err != nil {
 			return nil, err
 		}

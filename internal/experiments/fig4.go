@@ -75,7 +75,7 @@ func runFig4(opts Options) ([]*Table, error) {
 		cells = append(cells, func() (fig4Cell, error) {
 			c := fig4Cell{anyCurve: statespace.AnyputBurstLength(sigma)}
 			for _, n := range ns {
-				res, err := statespace.SolveP4Homogeneous(n, node, sigma, model.Groupput, nil)
+				res, err := statespace.SolveP4Typed([]int{n}, []model.Node{node}, sigma, model.Groupput, nil)
 				if err != nil {
 					return fig4Cell{}, err
 				}
@@ -106,7 +106,7 @@ func runFig4(opts Options) ([]*Table, error) {
 				c.simMean = append(c.simMean, m.BurstLengths.Mean())
 			}
 			for _, n := range ns {
-				res, err := statespace.SolveP4Homogeneous(n, node, sigma, model.Anyput, nil)
+				res, err := statespace.SolveP4Typed([]int{n}, []model.Node{node}, sigma, model.Anyput, nil)
 				if err != nil {
 					return fig4Cell{}, err
 				}

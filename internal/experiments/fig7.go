@@ -82,7 +82,7 @@ func runFig7(opts Options) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ideal, err := statespace.SolveP4Homogeneous(p.n, testbedNode(p.budget), p.sigma, model.Groupput, nil)
+		ideal, err := statespace.SolveP4Typed([]int{p.n}, []model.Node{testbedNode(p.budget)}, p.sigma, model.Groupput, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +90,7 @@ func runFig7(opts Options) ([]*Table, error) {
 		for _, pw := range m.Power {
 			pow.Add(pw)
 		}
-		relaxedRef, err := statespace.SolveP4Homogeneous(p.n, testbedNode(pow.Mean()), p.sigma, model.Groupput, nil)
+		relaxedRef, err := statespace.SolveP4Typed([]int{p.n}, []model.Node{testbedNode(pow.Mean())}, p.sigma, model.Groupput, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +132,7 @@ func runTable3(opts Options) ([]*Table, error) {
 			return nil, err
 		}
 		node := testbedNode(p.budget)
-		ref, err := statespace.SolveP4Homogeneous(p.n, node, p.sigma, model.Groupput, nil)
+		ref, err := statespace.SolveP4Typed([]int{p.n}, []model.Node{node}, p.sigma, model.Groupput, nil)
 		if err != nil {
 			return nil, err
 		}

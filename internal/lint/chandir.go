@@ -29,12 +29,6 @@ var chanDirPkgs = map[string][]hotEntry{
 		{recv: "broker", method: "disarm"},
 		{recv: "nodeRuntime", method: "run"},
 	},
-	// testbed is single-goroutine today, but it is licensed for
-	// concurrency (rawgoroutine) and mirrors asim's architecture; any
-	// channel it grows must arrive direction-typed.
-	"econcast/internal/testbed": {
-		{recv: "engine", method: "run"},
-	},
 	// The serving layer's selects are all two-way races against
 	// cancellation or a timer, confined to four sites: the admission
 	// gate's slot wait, a singleflight follower's wait on the leader, the

@@ -91,7 +91,7 @@ func lineEndOffset(tf *token.File, line int) int {
 	if line == tf.LineCount() {
 		return tf.Size()
 	}
-	return tf.Offset(tf.LineStart(line + 1)) - 1
+	return tf.Offset(tf.LineStart(line+1)) - 1
 }
 
 // FixResult is the outcome of planning fixes over a set of findings.
@@ -111,7 +111,7 @@ type FixResult struct {
 // win conflicts, so the result is deterministic. Only the first Fix of
 // each finding is considered.
 func PlanFixes(findings []Finding) (*FixResult, error) {
-	src := make(map[string][]byte)   // original file contents
+	src := make(map[string][]byte)     // original file contents
 	taken := make(map[string][][2]int) // accepted edit ranges per file
 	var accepted []TextEdit
 	res := &FixResult{Contents: make(map[string][]byte)}

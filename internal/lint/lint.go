@@ -17,13 +17,13 @@
 //   - floateq: == / != between floating-point operands outside approved
 //     epsilon-comparison helpers.
 //   - rawgoroutine: `go` statements outside internal/asim,
-//     internal/testbed, and internal/sweep, the only packages licensed to
-//     spawn concurrency.
+//     internal/sweep, internal/serve and cmd/oracled, the only packages
+//     licensed to spawn concurrency.
 //   - errdrop: discarded error return values.
 //   - hotalloc: make/append/map-literal allocation sites reachable from
 //     the simulators' event loops, which must stay allocation-free in
 //     steady state.
-//   - chandir: channels crossing the asim/testbed broker-node boundary
+//   - chandir: channels crossing the asim broker-node boundary
 //     must be declared with a direction, and select is confined to the
 //     licensed event loops, so the request-reply discipline that makes
 //     the concurrent simulator deterministic is type-enforced.

@@ -30,7 +30,7 @@ func (e *coordinator) step() {
 // and the buffer reused.
 func (e *coordinator) hoist(n int) {
 	for i := 0; i < n; i++ {
-		scratch := make([]byte, 0, 64) // want hotalloc
+		scratch := make([]byte, 0, 64)     // want hotalloc
 		scratch = append(scratch, byte(i)) // want hotalloc
 		for j := range scratch {
 			e.queue[0] += int(scratch[j])
@@ -54,8 +54,8 @@ func (e *coordinator) variant(n int) {
 // plain diagnostic applies.
 func (e *coordinator) escapes(n int) {
 	for i := 0; i < n; i++ {
-		buf := make([]byte, 0, 8) // want hotalloc
-		buf = append(buf, byte(i)) // want hotalloc
+		buf := make([]byte, 0, 8)    // want hotalloc
+		buf = append(buf, byte(i))   // want hotalloc
 		e.sink = append(e.sink, buf) // want hotalloc
 	}
 }

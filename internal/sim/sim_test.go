@@ -50,6 +50,7 @@ func TestValidation(t *testing.T) {
 		func(c *Config) { c.Protocol.PacketTime = -1e-3 },
 		func(c *Config) { c.Protocol.PacketTime = math.NaN() },
 		func(c *Config) { c.Protocol.Delta = math.NaN() },
+		func(c *Config) { c.Protocol.Delta = math.Inf(1) },
 	}
 	for i, mut := range bad {
 		c := baseCfg()

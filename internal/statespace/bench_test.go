@@ -9,8 +9,8 @@ import (
 
 // State-space benchmarks for the perf trajectory (BENCH_PR4.json): the
 // Gibbs hot loop (allocation-free in steady state thanks to the Dist pool
-// and the Enumerate-time caches), the exact dual solve, and the
-// symmetry-reduced homogeneous solve.
+// and the Enumerate-time caches), the exact dual solve, and the aggregated
+// solve and evaluation at T = 1.
 
 func BenchmarkGibbs(b *testing.B) {
 	for _, n := range []int{8, 12, 16} {
@@ -39,13 +39,13 @@ func BenchmarkSolveP4Exact(b *testing.B) {
 	}
 }
 
-func BenchmarkSolveP4Homogeneous(b *testing.B) {
+func BenchmarkSolveP4Typed(b *testing.B) {
 	node := model.Node{Budget: 0.4, ListenPower: 0.8, TransmitPower: 1.0}
-	for _, n := range []int{50, 500} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	for _, n := range []int{10, 50, 500} {
+		b.Run(fmt.Sprintf("T=1/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := SolveP4Homogeneous(n, node, 0.25, model.Groupput, nil); err != nil {
+				if _, err := SolveP4Typed([]int{n}, []model.Node{node}, 0.25, model.Groupput, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -53,14 +53,12 @@ func BenchmarkSolveP4Homogeneous(b *testing.B) {
 	}
 }
 
-func BenchmarkReducedGibbs(b *testing.B) {
-	rs, err := EnumerateReduced(500)
-	if err != nil {
-		b.Fatal(err)
-	}
+func BenchmarkTypedEval(b *testing.B) {
 	node := model.Node{Budget: 0.4, ListenPower: 0.8, TransmitPower: 1.0}
+	ev := newTypedEval([]int{500}, []model.Node{node}, 0.5, model.Groupput)
+	eta := []float64{1.2}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rs.Gibbs(1.2, node, 0.5, model.Groupput)
+		ev.eval(eta)
 	}
 }

@@ -182,7 +182,7 @@ func TestMixingAnalysisErrors(t *testing.T) {
 func TestConductanceLargeSpaceSkipped(t *testing.T) {
 	nw := model.Homogeneous(5, 0.02, 1, 1) // |W| = 112 > cap
 	sp, _ := Enumerate(nw)
-	mix, err := sp.MixingAnalysis(repeat(1, 5), 0.5, model.Groupput)
+	mix, err := sp.MixingAnalysis(uniform(1, 5), 0.5, model.Groupput)
 	if err != nil {
 		t.Fatal(err)
 	}

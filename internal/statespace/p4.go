@@ -45,7 +45,7 @@ type P4Result struct {
 }
 
 // evaluator abstracts the Gibbs computation so the dual descent is shared
-// between the exact enumeration and the homogeneous aggregation. All
+// between the exact enumeration and the typed aggregation. All
 // quantities are in scaled power units (max power level = 1).
 type evaluator interface {
 	// eval returns the dual value D(eta), per-node power consumption,
@@ -187,11 +187,10 @@ func scaledNetwork(nw *model.Network, p0 float64) *model.Network {
 
 // SolveP4 computes the achievable throughput T^sigma of EconCast by solving
 // the entropy-regularized problem (P4) through its Lagrangian dual. For
-// networks small enough it uses exact state enumeration; larger
-// homogeneous networks use the aggregated listener-count representation;
-// larger heterogeneous networks that decompose into a few identical-node
-// types use the typed aggregation (SolveP4Typed). Only large networks with
-// many distinct node types are rejected.
+// networks small enough it uses exact state enumeration; larger networks
+// are grouped into identical-node types (a homogeneous network is one) and
+// solved on the aggregated class space (SolveP4Typed). Only large networks
+// with too many distinct node types are rejected.
 func SolveP4(nw *model.Network, sigma float64, mode model.Mode, opts *P4Options) (*P4Result, error) {
 	if err := nw.Validate(); err != nil {
 		return nil, err
@@ -202,27 +201,18 @@ func SolveP4(nw *model.Network, sigma float64, mode model.Mode, opts *P4Options)
 	if nw.N() <= model.MaxNodesExact {
 		return solveP4Exact(nw, sigma, mode, opts.withDefaults())
 	}
-	if nw.Homogeneous() {
-		node := nw.Nodes[0]
-		return SolveP4Homogeneous(nw.N(), node, sigma, mode, opts)
+	counts, types, perm := groupTypes(nw)
+	res, err := SolveP4Typed(counts, types, sigma, mode, opts)
+	if err != nil {
+		return nil, err
 	}
-	// Large heterogeneous networks are tractable when they decompose into
-	// a few node types.
-	if counts, types, perm, ok := groupTypes(nw); ok {
-		res, err := SolveP4Typed(counts, types, sigma, mode, opts)
-		if err != nil {
-			return nil, err
-		}
-		return permuteResult(res, perm), nil
-	}
-	return nil, fmt.Errorf("statespace: heterogeneous network with N=%d exceeds exact limit %d and has too many distinct node types",
-		nw.N(), model.MaxNodesExact)
+	return permuteResult(res, perm), nil
 }
 
 // groupTypes decomposes a network into identical-node types. perm[i] gives
 // the position of original node i in the type-major ordering SolveP4Typed
-// reports. ok is false when the decomposition would not be tractable.
-func groupTypes(nw *model.Network) (counts []int, types []model.Node, perm []int, ok bool) {
+// reports.
+func groupTypes(nw *model.Network) (counts []int, types []model.Node, perm []int) {
 	index := map[model.Node]int{}
 	for _, nd := range nw.Nodes {
 		if _, seen := index[nd]; !seen {
@@ -231,16 +221,6 @@ func groupTypes(nw *model.Network) (counts []int, types []model.Node, perm []int
 			counts = append(counts, 0)
 		}
 		counts[index[nd]]++
-	}
-	if len(types) > 8 {
-		return nil, nil, nil, false
-	}
-	classes := len(types) + 1
-	for _, c := range counts {
-		classes *= c + 1
-	}
-	if classes > 1<<20 {
-		return nil, nil, nil, false
 	}
 	// Type-major position of each original node.
 	offset := make([]int, len(types))
@@ -254,7 +234,7 @@ func groupTypes(nw *model.Network) (counts []int, types []model.Node, perm []int
 		perm[i] = next[t]
 		next[t]++
 	}
-	return counts, types, perm, true
+	return counts, types, perm
 }
 
 // permuteResult reorders per-node slices from type-major order back to the
@@ -308,89 +288,6 @@ func finishResult(eta []float64, res evalResult, iters int, converged bool, p0 f
 		Iterations:  iters,
 		Converged:   converged,
 	}
-}
-
-// homogEval evaluates the Gibbs distribution of a homogeneous network on
-// the symmetry-reduced class space (ReducedSpace), supporting arbitrary N.
-type homogEval struct {
-	node model.Node // scaled
-	mode model.Mode
-	sig  float64
-	rho  []float64
-	rs   *ReducedSpace
-}
-
-func newHomogEval(n int, node model.Node, sigma float64, mode model.Mode) *homogEval {
-	rs, err := EnumerateReduced(n)
-	if err != nil {
-		panic(err) // n >= 1 is checked by the caller
-	}
-	return &homogEval{
-		node: node,
-		mode: mode,
-		sig:  sigma,
-		rho:  []float64{node.Budget},
-		rs:   rs,
-	}
-}
-
-func (e *homogEval) dims() int          { return 1 }
-func (e *homogEval) budgets() []float64 { return e.rho }
-func (e *homogEval) sigma() float64     { return e.sig }
-
-func (e *homogEval) eval(eta []float64) evalResult {
-	h := eta[0]
-	d := e.rs.Gibbs(h, e.node, e.sig, e.mode)
-	alpha, beta := d.Fractions()
-	cons := alpha*e.node.ListenPower + beta*e.node.TransmitPower
-	return evalResult{
-		// The scalar h stands for all n nodes' multipliers, so the dual
-		// term eta . rho is n * h * rho.
-		dual:  e.sig*d.LogZ() + float64(e.rs.N())*h*e.node.Budget,
-		cons:  []float64{cons},
-		alpha: []float64{alpha},
-		beta:  []float64{beta},
-		thr:   d.Throughput(),
-		burst: d.AvgBurstLength(),
-	}
-}
-
-// SolveP4Homogeneous solves (P4) for n identical nodes using the aggregated
-// listener-count representation; it supports arbitrary n.
-func SolveP4Homogeneous(n int, node model.Node, sigma float64, mode model.Mode, opts *P4Options) (*P4Result, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("statespace: n=%d must be positive", n)
-	}
-	if sigma <= 0 {
-		return nil, fmt.Errorf("statespace: sigma %v must be positive", sigma)
-	}
-	nw := &model.Network{Nodes: []model.Node{node}}
-	if err := nw.Validate(); err != nil {
-		return nil, err
-	}
-	p0 := math.Max(node.ListenPower, node.TransmitPower)
-	scaled := model.Node{
-		Budget:        node.Budget / p0,
-		ListenPower:   node.ListenPower / p0,
-		TransmitPower: node.TransmitPower / p0,
-	}
-	ev := newHomogEval(n, scaled, sigma, mode)
-	eta, res, iters, converged := solveDual(ev, opts.withDefaults())
-	out := finishResult(eta, res, iters, converged, p0)
-	// Expand the shared per-node quantities to length n for a uniform API.
-	out.Alpha = repeat(out.Alpha[0], n)
-	out.Beta = repeat(out.Beta[0], n)
-	out.Eta = repeat(out.Eta[0], n)
-	out.Consumption = repeat(out.Consumption[0], n)
-	return out, nil
-}
-
-func repeat(v float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
 }
 
 // Algorithm1Trace records the multiplier trajectory of the paper's literal

@@ -81,7 +81,7 @@ func TestSolveP4AnyputClosedFormAnchor(t *testing.T) {
 	}
 }
 
-// The aggregated homogeneous path must agree with exact enumeration.
+// The aggregated path at T = 1 must agree with exact enumeration.
 func TestHomogeneousAggregationMatchesExact(t *testing.T) {
 	node := model.Node{Budget: 10 * model.MicroWatt, ListenPower: 500 * model.MicroWatt, TransmitPower: 300 * model.MicroWatt}
 	for _, mode := range []model.Mode{model.Groupput, model.Anyput} {
@@ -90,7 +90,7 @@ func TestHomogeneousAggregationMatchesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			agg, err := SolveP4Homogeneous(5, node, sigma, mode, nil)
+			agg, err := SolveP4Typed([]int{5}, []model.Node{node}, sigma, mode, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +109,8 @@ func TestHomogeneousAggregationMatchesExact(t *testing.T) {
 	}
 }
 
-// The raw evaluators must agree at arbitrary eta, not just at the optimum.
+// The raw evaluators, exact and aggregated at T = 1, must agree at
+// arbitrary eta, not just at the optimum.
 func TestHomogEvalMatchesExactEval(t *testing.T) {
 	node := model.Node{Budget: 0.02, ListenPower: 1, TransmitPower: 0.6}
 	n := 4
@@ -121,9 +122,9 @@ func TestHomogEvalMatchesExactEval(t *testing.T) {
 	}
 	for _, sigma := range []float64{0.3, 0.8} {
 		ex := &exactEval{space: sp, mode: model.Groupput, sig: sigma, rho: rho}
-		hg := newHomogEval(n, node, sigma, model.Groupput)
+		hg := newTypedEval([]int{n}, []model.Node{node}, sigma, model.Groupput)
 		for _, h := range []float64{0, 0.5, 1.5, 4} {
-			etaVec := repeat(h, n)
+			etaVec := uniform(h, n)
 			re := ex.eval(etaVec)
 			rh := hg.eval([]float64{h})
 			if math.Abs(re.thr-rh.thr) > 1e-9 {
@@ -143,21 +144,34 @@ func TestHomogEvalMatchesExactEval(t *testing.T) {
 	}
 }
 
+// A homogeneous network past the exact limit is solved as one node type
+// and must spend every node's budget in both modes.
 func TestSolveP4LargeNViaAggregation(t *testing.T) {
-	nw := model.Homogeneous(100, 10*model.MicroWatt, 500*model.MicroWatt, 500*model.MicroWatt)
-	res, err := SolveP4(nw, 0.5, model.Groupput, nil)
-	if err != nil {
-		t.Fatal(err)
+	const n, budget, power = 100, 10 * model.MicroWatt, 500 * model.MicroWatt
+	nw := model.Homogeneous(n, budget, power, power)
+	oracles := map[model.Mode]float64{
+		model.Groupput: oracleGroupputHomog(n, budget, power, power),
+		model.Anyput:   n * budget / (2 * power), // beta* = rho/(X+L), T*_a = N beta*
 	}
-	if !res.Converged {
-		t.Fatal("not converged")
-	}
-	if len(res.Alpha) != 100 {
-		t.Fatalf("alpha length %d", len(res.Alpha))
-	}
-	oracle := oracleGroupputHomog(100, 10*model.MicroWatt, 500*model.MicroWatt, 500*model.MicroWatt)
-	if r := res.Throughput / oracle; r <= 0 || r >= 1 {
-		t.Fatalf("ratio %v", r)
+	for _, mode := range []model.Mode{model.Groupput, model.Anyput} {
+		res, err := SolveP4(nw, 0.5, mode, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatalf("mode=%v: not converged", mode)
+		}
+		if len(res.Alpha) != n || len(res.Consumption) != n {
+			t.Fatalf("mode=%v: %d alphas, %d consumptions", mode, len(res.Alpha), len(res.Consumption))
+		}
+		for i, c := range res.Consumption {
+			if math.Abs(c-budget)/budget > 1e-4 {
+				t.Fatalf("mode=%v node %d: consumption %v, want %v", mode, i, c, budget)
+			}
+		}
+		if r := res.Throughput / oracles[mode]; r <= 0 || r >= 1 {
+			t.Fatalf("mode=%v: ratio %v", mode, r)
+		}
 	}
 }
 
@@ -188,9 +202,6 @@ func TestSolveP4InvalidInputs(t *testing.T) {
 	}
 	if _, err := SolveP4(&model.Network{}, 0.5, model.Groupput, nil); err == nil {
 		t.Fatal("empty network accepted")
-	}
-	if _, err := SolveP4Homogeneous(0, model.Node{Budget: 1, ListenPower: 1, TransmitPower: 1}, 0.5, model.Groupput, nil); err == nil {
-		t.Fatal("n=0 accepted")
 	}
 }
 
@@ -306,15 +317,6 @@ func BenchmarkSolveP4ExactN5(b *testing.B) {
 	nw := testNet5()
 	for i := 0; i < b.N; i++ {
 		if _, err := SolveP4(nw, 0.25, model.Groupput, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSolveP4HomogeneousN100(b *testing.B) {
-	node := model.Node{Budget: 10 * model.MicroWatt, ListenPower: 500 * model.MicroWatt, TransmitPower: 500 * model.MicroWatt}
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveP4Homogeneous(100, node, 0.25, model.Groupput, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,9 +5,11 @@
 // the entropy-regularized problem (P4) following Algorithm 1, and the
 // closed-form burstiness analysis of Appendix E (eqs. 34–35).
 //
-// For heterogeneous networks the space is enumerated exactly (practical up
-// to ~16 nodes); for homogeneous networks the symmetry-reduced class
-// representation (ReducedSpace) supports arbitrary N.
+// Networks of up to model.MaxNodesExact nodes are enumerated exactly.
+// Larger ones are solved on one aggregated class space (SolveP4Typed):
+// nodes are grouped into identical types, and a class is a transmitter
+// type plus a listener count per type. A homogeneous network is one type,
+// 2N+1 classes, so it is tractable at any N.
 //
 // Enumerate caches per-state derived quantities — listener popcounts,
 // throughputs for both modes, and the listener occupancy masks — so the

@@ -338,10 +338,7 @@ func (e *engine) schedule(i int) {
 	e.push(event{at: e.now + dt, kind: evTransition, node: i, version: ns.version})
 }
 
-// run drains the event heap to the horizon. It is testbed's licensed
-// event multiplexer for econlint's chandir analyzer: if this package
-// ever grows goroutine runtimes, their boundary channels must be
-// direction-typed and any select belongs here.
+// run drains the event heap to the horizon.
 func (e *engine) run() {
 	for i := range e.nodes {
 		e.schedule(i)

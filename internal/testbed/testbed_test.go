@@ -99,7 +99,7 @@ func TestThroughputFractionOfAchievable(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := model.Node{Budget: c.Budget, ListenPower: 67.08 * model.MilliWatt, TransmitPower: 56.29 * model.MilliWatt}
-	ref, err := statespace.SolveP4Homogeneous(5, node, c.Sigma, model.Groupput, nil)
+	ref, err := statespace.SolveP4Typed([]int{5}, []model.Node{node}, c.Sigma, model.Groupput, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestWarmEta(t *testing.T) {
 	c.Duration = 1000
 	c.Warmup = 100
 	node := model.Node{Budget: c.Budget, ListenPower: 67.08 * model.MilliWatt, TransmitPower: 56.29 * model.MilliWatt}
-	ref, err := statespace.SolveP4Homogeneous(5, node, c.Sigma, model.Groupput, nil)
+	ref, err := statespace.SolveP4Typed([]int{5}, []model.Node{node}, c.Sigma, model.Groupput, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
