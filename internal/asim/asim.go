@@ -9,8 +9,8 @@
 // earliest, and relays channel state (carrier busy, packet completions)
 // back to the affected nodes. Nodes never share memory; everything they
 // learn arrives over their command channel, mirroring the structure of a
-// real deployment (and of the emulated testbed built on top in
-// internal/testbed).
+// real deployment. (The emulated testbed, internal/testbed, is a separate
+// single-threaded event loop.)
 //
 // asim models clique networks, the setting of the paper's testbed; use
 // internal/sim for non-clique topologies.
@@ -53,18 +53,12 @@ type Config struct {
 	// use internal/sim for crash/restart churn.
 	Faults *faults.Config
 
-	// Watchdog bounds how long the broker waits (wall-clock) for any
-	// single node to accept or answer a command before failing the run
-	// with a diagnostic instead of hanging. 0 means the 30s default;
-	// negative disables the watchdog. The timeout only trips on a truly
-	// stuck nodeRuntime (a livelocked or blocked goroutine) — panics are
-	// recovered and reported in virtual time, without waiting.
-	Watchdog time.Duration
-
 	// stall, when set, wedges one node's goroutine at a virtual time —
 	// the test hook that proves the watchdog converts a stuck node into
-	// an error instead of a hang.
-	stall *stallSpec
+	// an error instead of a hang — and watchdog, when nonzero, replaces
+	// defaultWatchdog so that test fails fast.
+	stall    *stallSpec
+	watchdog time.Duration
 }
 
 // stallSpec wedges node `node` forever at the first command with
@@ -74,8 +68,11 @@ type stallSpec struct {
 	at   float64
 }
 
-// defaultWatchdog is the broker's wall-clock patience per command when
-// Config.Watchdog is zero.
+// defaultWatchdog bounds how long the broker waits (wall-clock) for any
+// single node to accept or answer a command before failing the run with
+// a diagnostic instead of hanging. It only trips on a truly stuck
+// nodeRuntime (a livelocked or blocked goroutine): panics are recovered
+// and reported in virtual time, without waiting.
 const defaultWatchdog = 30 * time.Second
 
 // Metrics are the outputs of a goroutine-based run.
@@ -342,7 +339,7 @@ type broker struct {
 	err     error
 
 	// Watchdog: one reusable wall-clock timer arming every channel
-	// operation in ask. wd == nil disables it.
+	// operation in ask.
 	wd        *time.Timer
 	wdTimeout time.Duration
 
@@ -373,19 +370,17 @@ func newBroker(cfg Config, flt *faults.Set) *broker {
 		crashAt:     make([]float64, n),
 	}
 	b.packetTime = model.DefaultIfZero(b.packetTime, 1e-3)
-	if cfg.Watchdog >= 0 {
-		b.wdTimeout = cfg.Watchdog
-		if b.wdTimeout == 0 {
-			b.wdTimeout = defaultWatchdog
-		}
-		// The watchdog measures wall-clock liveness of the node
-		// goroutines, never virtual time, so it cannot perturb results:
-		// it either never fires (healthy run, timer reset and drained
-		// around every exchange) or fails the run outright.
-		b.wd = time.NewTimer(b.wdTimeout) //lint:allow wallclock liveness watchdog only; virtual-time results never observe this timer
-		if !b.wd.Stop() {
-			<-b.wd.C
-		}
+	b.wdTimeout = defaultWatchdog
+	if cfg.watchdog != 0 {
+		b.wdTimeout = cfg.watchdog
+	}
+	// The watchdog measures wall-clock liveness of the node goroutines,
+	// never virtual time, so it cannot perturb results: it either never
+	// fires (healthy run, timer reset and drained around every exchange)
+	// or fails the run outright.
+	b.wd = time.NewTimer(b.wdTimeout) //lint:allow wallclock liveness watchdog only; virtual-time results never observe this timer
+	if !b.wd.Stop() {
+		<-b.wd.C
 	}
 	master := rng.New(cfg.Seed)
 	for i := 0; i < n; i++ {
@@ -451,10 +446,6 @@ func (b *broker) start() {
 func (b *broker) ask(i int, c command) (reply, bool) {
 	if b.err != nil || b.dead[i] {
 		return reply{}, false
-	}
-	if b.wd == nil {
-		b.cmds[i] <- c
-		return b.vet(<-b.out)
 	}
 	b.wd.Reset(b.wdTimeout)
 	select {

@@ -11,29 +11,3 @@ func DefaultIfZero(v, def float64) float64 {
 	}
 	return v
 }
-
-// Optional is a float64 config setting that distinguishes "left unset"
-// from an explicit zero. DefaultIfZero's sentinel silently promotes a
-// deliberate 0 (disable the imperfection, no overhead, …) to the
-// default; settings where zero is meaningful must use Optional instead:
-// the zero Optional value means unset, and Explicit(v) — including
-// Explicit(0) — pins the value.
-type Optional struct {
-	value float64
-	set   bool
-}
-
-// Explicit returns an Optional carrying v, even when v is zero.
-func Explicit(v float64) Optional { return Optional{value: v, set: true} }
-
-// Or resolves the setting: the explicit value if one was given,
-// otherwise def.
-func (o Optional) Or(def float64) float64 {
-	if o.set {
-		return o.value
-	}
-	return def
-}
-
-// IsSet reports whether an explicit value was given.
-func (o Optional) IsSet() bool { return o.set }

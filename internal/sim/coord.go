@@ -14,8 +14,8 @@
 // memorylessness keeps the law). Multiplier ticks never enter a heap:
 // every node ticks at the same instants, so a cursor walks the nodes in
 // ascending order. Rates that depend on the multiplier alone are
-// memoized per multiplier epoch. Event keys are content-derived (per-node
-// Lamport clocks) and every RNG draw comes from the stream of the node it
+// memoized per multiplier epoch. Event keys come from one run-wide
+// counter and every RNG draw comes from the stream of the node it
 // realizes, so a run's output depends on nothing but its Config — the
 // same bytes at any sweep worker count.
 //
@@ -53,11 +53,12 @@ type coordinator struct {
 	horizon float64 // cfg.Duration, copied next to the other hot scalars
 	shift   uint    // node-id bit width of the event key
 
-	// The dispatch clock: the time and Lamport clock of the event being
-	// dispatched, and whether it falls inside the measurement window.
-	now        float64
-	curLamport uint64
-	measuring  bool
+	// The dispatch clock: the time of the event being dispatched, and
+	// whether it falls inside the measurement window. seq counts the keys
+	// handed out so far (see nextSeq).
+	now       float64
+	measuring bool
+	seq       uint64
 
 	// The event sources. queue holds packet ends and fault boundaries;
 	// trans holds each node's pending transition, at most one per node.
@@ -69,7 +70,7 @@ type coordinator struct {
 	// so the coordinator walks the nodes in ascending id instead of
 	// queueing one tick per node: tickNext is the next node due at tickAt,
 	// and tickAt advances by tau when the cursor wraps. The tick's key is
-	// (tickAt, node) with Lamport 0, which sorts before every other event
+	// (tickAt, node) with counter 0, which sorts before every other event
 	// at that instant.
 	tickAt   float64
 	tickNext int
@@ -81,18 +82,11 @@ type coordinator struct {
 	// alone.
 	rngs []rng.Source
 
-	// tickLam[i] is the Lamport clock node i's next multiplier tick
-	// would carry as a queued event. The tick cursor keys ticks with
-	// Lamport 0, but its handler still runs under this clock, so every
-	// key it schedules keeps its bits.
-	tickLam []uint64
-
 	// hot is the cache-line-packed per-node state: one 64-byte record
 	// per node holding every scalar the dispatch path reads or writes —
-	// the node's dynamic state, its Lamport clock, its packet slot's
-	// scalars, the listener counter, and its parameter-block index — so
-	// an event on a node loads one line of per-node state besides its
-	// protocol core.
+	// the node's dynamic state, its packet slot's scalars, the listener
+	// counter, and its parameter-block index — so an event on a node
+	// loads one line of per-node state besides its protocol core.
 	hot []nodeHot
 
 	// cores is the per-node protocol dynamic state (64 bytes each);
@@ -132,11 +126,11 @@ type coordinator struct {
 
 	// met accumulates the integer counters in place during the run;
 	// finish fills in the rest. latency collects the receiver-attributed
-	// inter-burst samples, sealed into a sorted CDF by finish.
-	met        Metrics
-	latency    []float64
-	occStarted bool
-	occLast    float64
+	// inter-burst samples, sealed into a sorted CDF by finish. occLast is
+	// the time occupancy has been charged up to.
+	met     Metrics
+	latency []float64
+	occLast float64
 }
 
 // nodeHot packs one node's dispatch-path state into a single 64-byte
@@ -144,9 +138,6 @@ type coordinator struct {
 type nodeHot struct {
 	lastUpdate   float64
 	lastBurstEnd float64
-	// lamport is the node's logical clock for the canonical event order;
-	// see coordinator.nextSeq for the key construction.
-	lamport uint64
 	// resid is the residual dwell of a transition suspended by a carrier
 	// freeze, valid while fSuspended is set (see coordinator.freeze).
 	resid      float64
@@ -162,7 +153,7 @@ type nodeHot struct {
 	paramOf     int32 // index into coordinator.params; immutable
 	state       model.State
 	flags       uint8
-	_           [10]byte // pad to 64 bytes; see TestNodeHotSize
+	_           [18]byte // pad to 64 bytes; see TestNodeHotSize
 }
 
 // rateMemo caches the carrier-free rates of one node that depend on its
@@ -182,7 +173,6 @@ const (
 	fHasBurst uint8 = 1 << iota
 	fSleptSince
 	fCollidedInPkt
-	fWarmSnapped
 	fPktActive    // the node's packet slot holds an in-flight packet
 	fPktDelivered // the slot's current hold reached at least one receiver
 	fSuspended    // a carrier freeze holds the node's transition in resid
@@ -212,7 +202,6 @@ func newCoordinator(cfg Config, flt *faults.Set) *coordinator {
 		packetTime: model.DefaultIfZero(cfg.Protocol.PacketTime, 1e-3),
 
 		rngs:    make([]rng.Source, n),
-		tickLam: make([]uint64, n),
 		hot:     make([]nodeHot, n),
 		cores:   make([]econcast.Core, n),
 		harvest: make([]func(float64) float64, n),
@@ -328,7 +317,6 @@ func (c *coordinator) start() {
 	c.tickAt = c.tau
 	for i := 0; i < c.n; i++ {
 		c.scheduleTransition(i)
-		c.tickLam[i] = c.nextSeq(i) >> c.shift
 		node := i
 		c.flt.Boundaries(i, func(at float64) {
 			c.push(event{at: at, kind: evFault, node: node})
@@ -387,7 +375,7 @@ func (c *coordinator) step() bool {
 			c.tickNext = 0
 			c.tickAt += c.tau
 		}
-		c.clock(at, c.tickLam[node])
+		c.clock(at)
 		c.handleTick(node)
 	default:
 		c.dispatch(c.queue.pop())
@@ -395,9 +383,12 @@ func (c *coordinator) step() bool {
 	return true
 }
 
-// drain performs the final energy (and occupancy) accrual to the horizon.
+// drain performs the final energy (and occupancy) accrual to the horizon,
+// opening the measurement window first if no event fell inside it.
 func (c *coordinator) drain() {
-	if c.cfg.TrackOccupancy && c.measuring {
+	if !c.measuring {
+		c.openWindow()
+	} else if c.cfg.TrackOccupancy {
 		c.accrueOccupancy(c.cfg.Duration)
 	}
 	c.now = c.cfg.Duration
@@ -409,7 +400,7 @@ func (c *coordinator) drain() {
 // dispatch realizes one event; step has already checked it against the
 // horizon.
 func (c *coordinator) dispatch(ev event) {
-	c.clock(ev.at, ev.seq>>c.shift)
+	c.clock(ev.at)
 	switch ev.kind {
 	case evTransition:
 		c.handleTransition(ev.node)
@@ -420,41 +411,42 @@ func (c *coordinator) dispatch(ev event) {
 	}
 }
 
-// clock advances the dispatch clock to an event at time at whose key
-// carries the Lamport clock lamport, and counts the event.
-func (c *coordinator) clock(at float64, lamport uint64) {
+// clock advances the dispatch clock to an event at time at and counts
+// the event. The first event at or past Warmup opens the measurement
+// window; occupancy is charged from that event on.
+func (c *coordinator) clock(at float64) {
 	c.met.Events++
-	if c.cfg.TrackOccupancy && c.measuring {
-		c.accrueOccupancy(at)
+	if c.measuring {
+		if c.cfg.TrackOccupancy {
+			c.accrueOccupancy(at)
+		}
+	} else if at >= c.cfg.Warmup {
+		c.openWindow()
+		c.occLast = at
 	}
 	c.now = at
-	c.curLamport = lamport
-	c.measuring = c.now >= c.cfg.Warmup
-	if c.cfg.TrackOccupancy && c.measuring && !c.occStarted {
-		c.occStarted = true
-		c.occLast = c.now
-	}
 }
 
-// nextSeq advances node i's Lamport clock and returns the canonical
-// content-derived key of the event being scheduled for it.
-//
-// The key is seq = l << shift | node, where l = max(lamport[node],
-// curLamport) + 1 and curLamport is the clock of the event being
-// dispatched. Keys are unique (per-node clocks strictly increase),
-// children sort strictly after their parents even at equal times, and —
-// because the key is derived from event content rather than from a
-// global push counter — the key of every event is independent of the
-// dispatch schedule that produced it. See DESIGN.md §9.
-func (c *coordinator) nextSeq(i int) uint64 {
-	h := &c.hot[i]
-	l := h.lamport
-	if c.curLamport > l {
-		l = c.curLamport
+// openWindow opens the measurement window: every node accrues to Warmup
+// and its battery is snapshotted there for the Power metric.
+func (c *coordinator) openWindow() {
+	c.now = c.cfg.Warmup
+	for i := 0; i < c.n; i++ {
+		c.accrue(i)
+		c.warmupBattery[i] = c.cores[i].Battery
 	}
-	l++
-	h.lamport = l
-	return l<<c.shift | uint64(i)
+	c.measuring = true
+}
+
+// nextSeq returns the key of the event being scheduled for node i:
+// seq = k << shift | node, where k counts every key handed out in the run
+// and starts at 1 (counter 0 is the tick cursor's). Keys are unique, and
+// children sort strictly after their parents even at equal times. One
+// loop dispatches the whole run, so the counter is a function of the
+// Config alone. See DESIGN.md §9.
+func (c *coordinator) nextSeq(i int) uint64 {
+	c.seq++
+	return c.seq<<c.shift | uint64(i)
 }
 
 // push keys the event (nextSeq) and enqueues it.
@@ -468,22 +460,8 @@ func (c *coordinator) push(ev event) {
 // accrue advances node i's battery and multiplier bookkeeping to now.
 // Multiplier boundaries are also forced by the tick cursor, so eta changes
 // land exactly on tau multiples regardless of event spacing.
-
 func (c *coordinator) accrue(i int) {
 	h := &c.hot[i]
-	if !h.has(fWarmSnapped) && c.now >= c.cfg.Warmup {
-		// First accrual at or past the warmup boundary: advance exactly to
-		// the boundary, snapshot the battery for the Power metric, and
-		// continue from there. The split point is per-node and depends only
-		// on the node's own accrual history, not on how the dispatch
-		// schedule interleaves nodes.
-		if dt := c.cfg.Warmup - h.lastUpdate; dt > 0 {
-			c.cores[i].Advance(c.pr(i), c.harvest[i], dt, h.state)
-		}
-		h.lastUpdate = c.cfg.Warmup
-		c.warmupBattery[i] = c.cores[i].Battery
-		h.set(fWarmSnapped)
-	}
 	if dt := c.now - h.lastUpdate; dt > 0 {
 		c.cores[i].Advance(c.pr(i), c.harvest[i], dt, h.state)
 		h.lastUpdate = c.now
@@ -946,8 +924,7 @@ func (c *coordinator) flushBurst(i int) {
 // handleTick advances energy bookkeeping (forcing the eq. 17 update to
 // land exactly on the tau boundary) and resamples the node's transition,
 // since its rates depend on the refreshed multiplier. The tick cursor
-// schedules the next tick; its Lamport clock is drawn here, as if the
-// tick were queued.
+// schedules the next tick.
 func (c *coordinator) handleTick(i int) {
 	c.accrue(i)
 	// Departure: an absent node abandons listening (transmitters finish
@@ -967,7 +944,6 @@ func (c *coordinator) handleTick(i int) {
 	if c.hot[i].state != model.Transmit {
 		c.scheduleTransition(i)
 	}
-	c.tickLam[i] = c.nextSeq(i) >> c.shift
 }
 
 // handleFault realizes one fault-schedule boundary for node i: a crash

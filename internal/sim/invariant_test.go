@@ -32,6 +32,19 @@ func stepped(t *testing.T, cfg Config, check func(c *coordinator)) (*coordinator
 	return c, steps
 }
 
+// underRace shortens cfg to the horizon d, scaling its warmup alike, when
+// the test binary runs under the race detector. The step-by-step
+// invariant tests check after every event, which the detector slows
+// about tenfold; the shorter runs still pass each test's non-vacuity
+// guard, and the non-race run keeps the full horizon.
+func underRace(cfg Config, d float64) Config {
+	if raceEnabled {
+		cfg.Warmup *= d / cfg.Duration
+		cfg.Duration = d
+	}
+	return cfg
+}
+
 // TestPendingEventsBounded pins the one-pending-transition invariant:
 // after every step, the transition heap holds at most one entry per
 // node, and the event queue at most two per node plus the fault
@@ -42,21 +55,23 @@ func stepped(t *testing.T, cfg Config, check func(c *coordinator)) (*coordinator
 // instead, the superseded transitions of the cold clique below peak at
 // 1,079,115 entries for ten nodes: its multipliers grow until sleep
 // dwells run past the horizon, and those entries are never popped. The
-// grid adds carrier-sense freezes and resamples of neighbors.
+// grid adds carrier-sense freezes and resamples of neighbors. Under the
+// race detector the runs are 1000 s and 60 s (about 340k and 1.2M
+// steps).
 func TestPendingEventsBounded(t *testing.T) {
 	grid := withNodes(gridCfg(5), topology.Grid(10, 10))
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"cold-clique", Config{
+		{"cold-clique", underRace(Config{
 			Network:  model.Homogeneous(10, 10*model.MicroWatt, 500*model.MicroWatt, 500*model.MicroWatt),
 			Protocol: Protocol{Mode: model.Groupput, Variant: econcast.Capture, Sigma: 0.5, Delta: 0.1},
 			Duration: 5000,
 			Warmup:   500,
 			Seed:     3,
-		}},
-		{"grid", grid},
+		}, 1000)},
+		{"grid", underRace(grid, 60)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bounds, maxQueue := -1, 0
@@ -87,7 +102,8 @@ func TestPendingEventsBounded(t *testing.T) {
 // hidden-terminal check reads: between any two events, and at the end of
 // a run, hot[j].listeningTo equals the number of in-flight packets
 // (fPktActive slots) whose listener list holds j. Crashes abandon packets
-// mid-flight, so the fault runs exercise the unwind path too.
+// mid-flight, so the fault runs exercise the unwind path too. Under the
+// race detector the runs are 30 s instead of 300 s.
 func TestListeningToBalances(t *testing.T) {
 	check := func(t *testing.T, c *coordinator) (inFlight int) {
 		t.Helper()
@@ -128,6 +144,7 @@ func TestListeningToBalances(t *testing.T) {
 				cfg.Topology = tc.topo
 			}
 			cfg.Faults = tc.faults
+			cfg = underRace(cfg, 30)
 			busy := 0
 			c, _ := stepped(t, cfg, func(c *coordinator) {
 				if check(t, c) > 0 {

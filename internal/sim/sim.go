@@ -190,8 +190,9 @@ func (c *Config) nodeConfig(i int) econcast.Config {
 const rngNodeDomain = 0x4e4f4445 // "NODE"
 
 // seqShift returns the bit width reserved for the node id in an event
-// key: seq = lamport << seqShift(n) | node. Lamport clocks count pushes
-// per node, so the key fits comfortably in 64 bits for any feasible run.
+// key: seq = k << seqShift(n) | node, where k counts the keys handed out
+// over the whole run. At 100k nodes that leaves 47 bits, ~1.4e14 keys,
+// far beyond any feasible run.
 func seqShift(n int) uint {
 	return uint(bits.Len(uint(n)))
 }
@@ -242,7 +243,7 @@ const (
 
 type event struct {
 	at   float64
-	seq  uint64 // Lamport tie-break key (see coordinator.nextSeq)
+	seq  uint64 // tie-break key: run-wide counter and node (see coordinator.nextSeq)
 	kind int
 	node int
 }

@@ -106,6 +106,41 @@ func TestPowerTracksBudget(t *testing.T) {
 // With the multiplier frozen at the P4 optimum, the empirical listen and
 // transmit fractions and the throughput must match the Gibbs analysis
 // (this validates the simulator against Lemma 2 end-to-end).
+// TestEmptyWindowPower runs a measurement window that holds no event: a
+// 0.1 ms window inside one packet, between two multiplier ticks. The
+// battery is snapshotted at Warmup only when the run drains, and each
+// node's Power must be the draw of the one state it held throughout.
+func TestEmptyWindowPower(t *testing.T) {
+	const listen, transmit = 600 * model.MicroWatt, 400 * model.MicroWatt
+	cfg := Config{
+		Network:  model.Homogeneous(6, 100*model.MicroWatt, listen, transmit),
+		Protocol: Protocol{Mode: model.Groupput, Variant: econcast.Capture, Sigma: 0.5},
+		Warmup:   30.05,
+		Duration: 30.0501,
+		Seed:     4,
+	}
+	c, _ := stepped(t, cfg, func(*coordinator) {})
+	if c.now >= cfg.Warmup {
+		t.Fatalf("event at %v inside the window [%v, %v]", c.now, cfg.Warmup, cfg.Duration)
+	}
+	draws := map[model.State]float64{model.Sleep: 0, model.Listen: listen, model.Transmit: transmit}
+	held := map[model.State]int{}
+	m, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range m.Power {
+		st := c.hot[i].state
+		held[st]++
+		if want := draws[st]; math.Abs(p-want) > 1e-9*listen {
+			t.Errorf("node %d held %v: Power %v, want %v", i, st, p, want)
+		}
+	}
+	if len(held) != 3 {
+		t.Fatalf("the nodes held only %v; the check needs sleep, listen and transmit", held)
+	}
+}
+
 func TestFrozenEtaMatchesGibbs(t *testing.T) {
 	nw := net5()
 	ref, err := statespace.SolveP4(nw, 0.5, model.Groupput, nil)

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"math"
 	"testing"
 
 	"econcast/internal/faults"
@@ -102,10 +103,10 @@ func TestFaultSharedProcessesDeterministic(t *testing.T) {
 	}
 }
 
-// TestFaultLegacyImperfectionsMapToProcesses pins the compatibility
-// mapping: the default ClockDrift/PingLossProb imperfections now compile
-// into shared Drift/Loss fault processes, so LostPings is populated by
-// the default 2% decode-failure rate.
+// TestFaultLegacyImperfectionsMapToProcesses pins that the hardware's
+// default sleep-clock drift and ping loss compile into shared Drift/Loss
+// fault processes, so LostPings is populated by the default 2%
+// decode-failure rate.
 func TestFaultLegacyImperfectionsMapToProcesses(t *testing.T) {
 	c := baseCfg()
 	c.Duration, c.Warmup = 1500, 200
@@ -121,73 +122,32 @@ func TestFaultLegacyImperfectionsMapToProcesses(t *testing.T) {
 	}
 }
 
-// TestExplicitZeroImperfectionsStick is the DefaultIfZero-trap pin: an
-// explicit zero for each imperfection must disable it rather than being
-// silently promoted to the hardware default.
+// TestExplicitZeroImperfectionsStick pins that explicit zero Drift and
+// Loss processes give perfect clocks and lossless pings instead of
+// falling back to the hardware defaults, and that the actual power pays
+// the 8% regulator overhead on the virtual battery's nominal draw.
 func TestExplicitZeroImperfectionsStick(t *testing.T) {
-	// Explicit(0) overhead: actual power equals virtual power exactly.
 	c := baseCfg()
-	c.Duration, c.Warmup = 300, 50
-	c.RegulatorOverhead = model.Explicit(0)
-	ideal, err := Run(c)
+	c.Duration, c.Warmup = 1500, 200
+	defaulted, err := Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range ideal.Power {
-		if ideal.Power[i] != ideal.VirtualPower[i] {
-			t.Fatalf("node %d: ideal-regulator actual %v != virtual %v",
-				i, ideal.Power[i], ideal.VirtualPower[i])
+	for i, p := range defaulted.Power {
+		// Sleep draws nothing, so all of the actual draw pays the overhead.
+		if want := defaulted.VirtualPower[i] * (1 + regulatorOverhead); math.Abs(p-want) > 1e-12*want {
+			t.Fatalf("node %d: actual power %v, want virtual %v plus 8%%", i, p, defaulted.VirtualPower[i])
 		}
 	}
-	// Unset overhead: the 8% default applies and actual exceeds virtual.
-	c.RegulatorOverhead = model.Optional{}
-	lossy, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exceeded := false
-	for i := range lossy.Power {
-		if lossy.Power[i] > lossy.VirtualPower[i] {
-			exceeded = true
-		}
-	}
-	if !exceeded {
-		t.Fatal("default regulator overhead had no effect on actual power")
-	}
-
-	// Explicit(0) drift and ping loss: perfect clocks and lossless pings.
-	// The run must differ from the defaulted run (1% drift, 2% loss).
-	c2 := baseCfg()
-	c2.Duration, c2.Warmup = 1500, 200
-	withDefaults, err := Run(c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2.ClockDrift = model.Explicit(0)
-	c2.PingLossProb = model.Explicit(0)
-	perfect, err := Run(c2)
+	c.Faults = &faults.Config{Drift: &faults.Drift{Max: 0}, Loss: &faults.Loss{P: 0}}
+	perfect, err := Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if perfect.LostPings != 0 {
-		t.Fatalf("Explicit(0) ping loss still lost %d pings", perfect.LostPings)
+		t.Fatalf("zero ping loss still lost %d pings", perfect.LostPings)
 	}
-	if perfect.Groupput == withDefaults.Groupput && perfect.PacketsSent == withDefaults.PacketsSent {
-		t.Fatal("Explicit(0) imperfections behaved identically to the defaults — the zeros were dropped")
-	}
-}
-
-// TestOptionalSemantics pins the model.Optional contract itself.
-func TestOptionalSemantics(t *testing.T) {
-	var unset model.Optional
-	if unset.IsSet() || unset.Or(7) != 7 {
-		t.Fatal("zero Optional must resolve to the default")
-	}
-	zero := model.Explicit(0)
-	if !zero.IsSet() || zero.Or(7) != 0 {
-		t.Fatal("Explicit(0) must pin zero, not fall back to the default")
-	}
-	if model.Explicit(3.5).Or(7) != 3.5 {
-		t.Fatal("Explicit value must win over the default")
+	if perfect.Groupput == defaulted.Groupput && perfect.PacketsSent == defaulted.PacketsSent {
+		t.Fatal("zero imperfections behaved identically to the defaults — the zeros were dropped")
 	}
 }

@@ -8,10 +8,10 @@ import (
 
 // TestRaceStressLargeClique runs a 16-node emulated testbed so that
 // `go test -race` covers this package at the same clique scale as the
-// asim broker stress test. The emulator itself is single-threaded by
-// design (it is event-driven; econlint's rawgoroutine licenses but does
-// not require concurrency here), so beyond race coverage this pins the
-// seed-determinism invariant at scale, byte for byte.
+// asim broker stress test. The emulator itself is one event loop on one
+// goroutine (econlint's rawgoroutine forbids goroutines here), so beyond
+// race coverage this pins the seed-determinism invariant at scale, byte
+// for byte.
 func TestRaceStressLargeClique(t *testing.T) {
 	cfg := Config{
 		N:        16,

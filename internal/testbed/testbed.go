@@ -32,8 +32,21 @@ import (
 	"econcast/internal/stats"
 )
 
-// Config describes one emulated experiment. Zero fields default to the
-// paper's hardware constants.
+// The paper's hardware and protocol constants (§VIII). They are typed,
+// so arithmetic on them rounds as it would on float64 variables.
+const (
+	listenPower       float64 = 67.08 * model.MilliWatt // L, listening
+	transmitPower     float64 = 56.29 * model.MilliWatt // X, transmitting at -16 dBm
+	packetTime        float64 = 40e-3                   // data packet, seconds
+	pingTime          float64 = 0.4e-3                  // one recipient's ping, seconds
+	pingInterval      float64 = 8e-3                    // pinging interval after every packet, seconds
+	tau               float64 = 50 * packetTime         // multiplier interval, seconds
+	delta             float64 = 0.05                    // multiplier step
+	regulatorOverhead float64 = 0.08                    // extra fraction of real power drawn while active
+)
+
+// Config describes one emulated experiment. The nodes run EconCast-C in
+// groupput mode on the paper's hardware constants.
 type Config struct {
 	N      int
 	Budget float64 // rho (default 1 mW)
@@ -42,33 +55,17 @@ type Config struct {
 	// testbed.
 	Budgets []float64
 	Sigma   float64
-	Mode    model.Mode // the paper's experiments use groupput
-	Delta   float64
-	Tau     float64
 
 	Duration float64
 	Warmup   float64
 	Seed     uint64
 
-	// Hardware constants (defaults: paper's measurements).
-	ListenPower   float64 // 67.08 mW
-	TransmitPower float64 // 56.29 mW
-	PacketTime    float64 // 40 ms
-	PingTime      float64 // 0.4 ms
-	PingInterval  float64 // 8 ms
-
-	// Imperfections. These are model.Optional, not plain floats with a
-	// zero sentinel: a deliberate zero (perfect clocks, no overhead,
-	// lossless pings) must stick instead of being silently promoted to
-	// the hardware default — the DefaultIfZero trap this type exists for.
-	ClockDrift        model.Optional // max relative sleep-clock error (default 1%); Explicit(0) = perfect clocks
-	RegulatorOverhead model.Optional // extra fraction of real power draw (default 8%); Explicit(0) = ideal regulator
-	PingLossProb      model.Optional // decode failure per surviving ping (default 2%); Explicit(0) = lossless
-
-	// Faults optionally adds the shared fault processes on top (see
+	// Faults optionally adds the shared fault processes (see
 	// internal/faults): crash, brownout and silence windows are realized
-	// as events, and an explicit Drift/Loss process overrides the
-	// ClockDrift/PingLossProb legacy mapping. The testbed's Loss process
+	// as events. Sleep-clock drift and ping loss are fault processes too,
+	// defaulting to the hardware's 1% drift and 2% decode failures; an
+	// explicit Drift or Loss process replaces the default (Max: 0 gives
+	// perfect clocks, P: 0 lossless pings). The testbed's Loss process
 	// governs ping decodes (the paper's §VIII-C imperfection); 40 ms data
 	// packets decode reliably.
 	Faults *faults.Config
@@ -77,35 +74,18 @@ type Config struct {
 	WarmEta []float64
 }
 
-func (c Config) withDefaults() Config {
-	c.Budget = model.DefaultIfZero(c.Budget, 1*model.MilliWatt)
-	c.ListenPower = model.DefaultIfZero(c.ListenPower, 67.08*model.MilliWatt)
-	c.TransmitPower = model.DefaultIfZero(c.TransmitPower, 56.29*model.MilliWatt)
-	c.PacketTime = model.DefaultIfZero(c.PacketTime, 40e-3)
-	c.PingTime = model.DefaultIfZero(c.PingTime, 0.4e-3)
-	c.PingInterval = model.DefaultIfZero(c.PingInterval, 8e-3)
-	c.Tau = model.DefaultIfZero(c.Tau, 50*c.PacketTime)
-	c.Delta = model.DefaultIfZero(c.Delta, 0.05)
-	return c
-}
-
-// faultConfig merges the legacy imperfection fields into the shared
-// fault-process config: the testbed's drift and ping loss are ordinary
-// fault processes now, with the ad-hoc fields kept as defaults.
+// faultConfig is the run's fault-process config: Faults, with the
+// hardware's drift and ping loss wherever Faults sets none.
 func (c Config) faultConfig() *faults.Config {
 	eff := &faults.Config{}
 	if c.Faults != nil {
 		*eff = *c.Faults
 	}
 	if eff.Drift == nil {
-		if d := c.ClockDrift.Or(0.01); d > 0 {
-			eff.Drift = &faults.Drift{Max: d}
-		}
+		eff.Drift = &faults.Drift{Max: 0.01}
 	}
 	if eff.Loss == nil {
-		if p := c.PingLossProb.Or(0.02); p > 0 {
-			eff.Loss = &faults.Loss{P: p}
-		}
+		eff.Loss = &faults.Loss{P: 0.02}
 	}
 	return eff
 }
@@ -211,11 +191,9 @@ type engine struct {
 	transmitter int
 	listeners   []int // receivers of the current packet
 
-	// flt is the compiled fault schedule (never nil here: the legacy
-	// drift/ping-loss defaults compile into it); regOverhead is the
-	// resolved regulator overhead fraction.
-	flt         *faults.Set
-	regOverhead float64
+	// flt is the compiled fault schedule (never nil here: the default
+	// drift and ping loss compile into it).
+	flt *faults.Set
 
 	met           Metrics
 	measuring     bool
@@ -225,7 +203,7 @@ type engine struct {
 
 // Run executes the emulated experiment.
 func Run(cfg Config) (*Metrics, error) {
-	cfg = cfg.withDefaults()
+	cfg.Budget = model.DefaultIfZero(cfg.Budget, 1*model.MilliWatt)
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -239,7 +217,6 @@ func Run(cfg Config) (*Metrics, error) {
 		nodes:       make([]nodeState, cfg.N),
 		transmitter: -1,
 		flt:         flt,
-		regOverhead: cfg.RegulatorOverhead.Or(0.08),
 	}
 	for i := range e.nodes {
 		budget := cfg.Budget
@@ -247,15 +224,15 @@ func Run(cfg Config) (*Metrics, error) {
 			budget = cfg.Budgets[i]
 		}
 		pc := econcast.Config{
-			Mode:          cfg.Mode,
+			Mode:          model.Groupput,
 			Variant:       econcast.Capture,
 			Sigma:         cfg.Sigma,
-			Delta:         cfg.Delta,
-			Tau:           cfg.Tau,
+			Delta:         delta,
+			Tau:           tau,
 			Budget:        budget,
-			ListenPower:   cfg.ListenPower,
-			TransmitPower: cfg.TransmitPower,
-			PacketTime:    cfg.PacketTime,
+			ListenPower:   listenPower,
+			TransmitPower: transmitPower,
+			PacketTime:    packetTime,
 		}
 		// Brownouts scale this node's harvest inside their windows.
 		if v := flt.View(i); v.HasBrownout() {
@@ -267,7 +244,7 @@ func Run(cfg Config) (*Metrics, error) {
 			drift: flt.Drift(i),
 		}
 		if cfg.WarmEta != nil {
-			p0 := math.Max(cfg.ListenPower, cfg.TransmitPower)
+			p0 := math.Max(listenPower, transmitPower)
 			e.nodes[i].proto.SetEta(cfg.WarmEta[i] * p0)
 		}
 	}
@@ -293,12 +270,12 @@ func (e *engine) spend(i int, dt float64, st model.State) {
 	nominal := 0.0
 	switch st {
 	case model.Listen:
-		nominal = e.cfg.ListenPower
+		nominal = listenPower
 	case model.Transmit:
-		nominal = e.cfg.TransmitPower
+		nominal = transmitPower
 	}
 	ns.virtual += nominal * dt
-	ns.actual += nominal * (1 + e.regOverhead) * dt
+	ns.actual += nominal * (1 + regulatorOverhead) * dt
 	ns.last += dt
 }
 
@@ -342,7 +319,7 @@ func (e *engine) schedule(i int) {
 func (e *engine) run() {
 	for i := range e.nodes {
 		e.schedule(i)
-		e.push(event{at: e.cfg.Tau, kind: evTick, node: i})
+		e.push(event{at: tau, kind: evTick, node: i})
 		node := i
 		e.flt.Boundaries(i, func(at float64) {
 			e.push(event{at: at, kind: evFault, node: node})
@@ -387,7 +364,7 @@ func (e *engine) run() {
 			if e.nodes[ev.node].state != model.Transmit {
 				e.schedule(ev.node)
 			}
-			e.push(event{at: e.now + e.cfg.Tau, kind: evTick, node: ev.node})
+			e.push(event{at: e.now + tau, kind: evTick, node: ev.node})
 		}
 	}
 	e.now = e.cfg.Duration
@@ -439,7 +416,7 @@ func (e *engine) beginPacket(i int) {
 			}
 		}
 	}
-	e.push(event{at: e.now + e.cfg.PacketTime, kind: evPacketEnd, node: i, version: e.nodes[i].version})
+	e.push(event{at: e.now + packetTime, kind: evPacketEnd, node: i, version: e.nodes[i].version})
 }
 
 // fault handles a fault-schedule boundary for node i: crash edges park or
@@ -498,9 +475,9 @@ func (e *engine) packetEnd(i int) {
 	if e.measuring {
 		e.met.PacketsSent++
 		e.met.PacketsDelivered += success
-		e.met.Groupput += float64(success) * e.cfg.PacketTime
+		e.met.Groupput += float64(success) * packetTime
 	}
-	e.push(event{at: e.now + e.cfg.PingInterval, kind: evPingEnd, node: i, version: e.nodes[i].version})
+	e.push(event{at: e.now + pingInterval, kind: evPingEnd, node: i, version: e.nodes[i].version})
 }
 
 // pingEnd closes the pinging interval: place each recipient's 0.4 ms ping
@@ -523,13 +500,13 @@ func (e *engine) pingEnd(i int) {
 	// Decode pings.
 	starts := make([]float64, len(e.listeners))
 	for k := range starts {
-		starts[k] = e.src.Uniform(0, e.cfg.PingInterval-e.cfg.PingTime)
+		starts[k] = e.src.Uniform(0, pingInterval-pingTime)
 	}
 	decoded := 0
 	for k, s := range starts {
 		ok := true
 		for m, s2 := range starts {
-			if m != k && math.Abs(s-s2) < e.cfg.PingTime {
+			if m != k && math.Abs(s-s2) < pingTime {
 				ok = false // overlapping pings collide
 				break
 			}
@@ -554,11 +531,11 @@ func (e *engine) pingEnd(i int) {
 	e.spendThrough(i, model.Listen)
 	for _, j := range e.listeners {
 		ns := &e.nodes[j]
-		listenDt := e.now - ns.last - e.cfg.PingTime
+		listenDt := e.now - ns.last - pingTime
 		if listenDt > 0 {
 			e.spend(j, listenDt, model.Listen)
 		}
-		e.spend(j, e.cfg.PingTime, model.Transmit)
+		e.spend(j, pingTime, model.Transmit)
 		ns.last = e.now
 	}
 
@@ -572,7 +549,7 @@ func (e *engine) pingEnd(i int) {
 				e.listeners = append(e.listeners, j)
 			}
 		}
-		e.push(event{at: e.now + e.cfg.PacketTime, kind: evPacketEnd, node: i, version: ns.version})
+		e.push(event{at: e.now + packetTime, kind: evPacketEnd, node: i, version: ns.version})
 		return
 	}
 	ns.state = model.Listen
@@ -599,7 +576,7 @@ func (e *engine) finish() *Metrics {
 	e.met.Power = make([]float64, e.cfg.N)
 	e.met.VirtualPower = make([]float64, e.cfg.N)
 	e.met.EtaFinal = make([]float64, e.cfg.N)
-	p0 := math.Max(e.cfg.ListenPower, e.cfg.TransmitPower)
+	p0 := math.Max(listenPower, transmitPower)
 	for i := range e.nodes {
 		var aStart, vStart float64
 		if e.actualAtWarm != nil {

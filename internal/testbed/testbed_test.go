@@ -19,19 +19,6 @@ func baseCfg() Config {
 	}
 }
 
-func TestDefaults(t *testing.T) {
-	c := Config{N: 5, Sigma: 0.25, Duration: 10, Warmup: 1}.withDefaults()
-	if c.ListenPower != 67.08*model.MilliWatt || c.TransmitPower != 56.29*model.MilliWatt {
-		t.Fatal("hardware power defaults wrong")
-	}
-	if c.PacketTime != 40e-3 || c.PingTime != 0.4e-3 || c.PingInterval != 8e-3 {
-		t.Fatal("radio timing defaults wrong")
-	}
-	if c.Budget != model.MilliWatt {
-		t.Fatal("budget default wrong")
-	}
-}
-
 func TestValidation(t *testing.T) {
 	bad := []Config{
 		{N: 1, Sigma: 0.25, Duration: 10},
