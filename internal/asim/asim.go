@@ -155,8 +155,8 @@ func Run(cfg Config) (*Metrics, error) {
 	if !(cfg.Sigma > 0) {
 		return nil, errors.New("asim: sigma must be positive")
 	}
-	if !(cfg.Duration > 0) || cfg.Warmup < 0 || cfg.Warmup >= cfg.Duration {
-		return nil, errors.New("asim: bad duration/warmup")
+	if err := model.CheckHorizon(cfg.Duration, cfg.Warmup); err != nil {
+		return nil, fmt.Errorf("asim: %w", err)
 	}
 	if cfg.WarmEta != nil && len(cfg.WarmEta) != cfg.Network.N() {
 		return nil, errors.New("asim: WarmEta length mismatch")

@@ -31,7 +31,9 @@ func TestValidation(t *testing.T) {
 		func(c *Config) { c.Network = nil },
 		func(c *Config) { c.Sigma = 0 },
 		func(c *Config) { c.Duration = 0 },
+		func(c *Config) { c.Duration = math.Inf(1) },
 		func(c *Config) { c.Warmup = c.Duration },
+		func(c *Config) { c.Warmup = math.NaN() },
 		func(c *Config) { c.WarmEta = []float64{1, 2} },
 	}
 	for i, mut := range bad {

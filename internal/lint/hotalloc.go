@@ -28,8 +28,8 @@ type hotEntry struct {
 // reachable from the entries and stays unconstrained.
 var hotEntries = map[string][]hotEntry{
 	"econcast/internal/sim": {
-		// The per-event path: the event loop's step, from which head,
-		// dispatch and every handler are reachable.
+		// The per-event path: the event loop's step, from which head
+		// and every handler are reachable.
 		{recv: "coordinator", method: "step"},
 	},
 	"econcast/internal/asim": {

@@ -11,7 +11,7 @@ import (
 )
 
 // warmCoordinator builds a coordinator and pumps it past its transient,
-// one event per step: queue capacities and listener slots are at their
+// one event per step: the packet-end ring and listener slots are at their
 // high-water marks, so subsequent steps exercise pure steady state.
 // cfg's horizon must lie beyond the pump.
 func warmCoordinator(tb testing.TB, cfg Config) *coordinator {
@@ -44,8 +44,8 @@ func steadyEngine(tb testing.TB) *coordinator {
 		Protocol: Protocol{Mode: model.Groupput, Variant: econcast.Capture, Sigma: 0.5, Delta: 0.1},
 		// The horizon and warmup are never reached: the benchmark measures
 		// the event loop itself, not the metrics window machinery. Eta is
-		// frozen so the transition-rate mix (and with it the event queue's
-		// high-water mark) is stationary rather than drifting with the
+		// frozen so the transition-rate mix (and with it the packet-end
+		// ring's high-water mark) is stationary rather than drifting with the
 		// multiplier adaptation.
 		Duration:  1e18,
 		Warmup:    1e17,
@@ -84,7 +84,7 @@ func reportNsPerEvent(b *testing.B, c *coordinator, events int) {
 // TestEventLoopSteadyStateAllocs is the executable form of the same bar:
 // steady-state events must not allocate. A tiny tolerance (well under
 // one allocation per hundred events) absorbs the rare amortized
-// high-water-mark growth of the event queue.
+// high-water-mark growth of the packet-end ring.
 func TestEventLoopSteadyStateAllocs(t *testing.T) {
 	c := steadyEngine(t)
 	avg := testing.AllocsPerRun(50_000, func() {

@@ -1,14 +1,16 @@
 // The event engine: one discrete-event loop per run. The coordinator
 // keeps node state in flat per-node arrays — every dispatch-path scalar
 // packed into one cache line per node — so the per-event working set is
-// dense, and owns the run's three event sources: the event queue (packet
-// ends and fault boundaries), the transition heap, and the tick cursor.
-// step dispatches the earliest of their heads in the global (time, key)
-// order. Each node has at most one pending transition, held in the
-// indexed transition heap with its key inline: a resample replaces it in
-// place (a fired transition's own re-arm included: it stays at the root
-// while its handler runs) and a departure or crash cancels it there, so
-// superseded transitions never linger in the heap. A carrier freeze
+// dense, and owns the run's four event sources, each kept in the
+// cheapest structure its order allows: a FIFO of packet ends (they
+// arrive in order), a sorted slice of fault boundaries read through a
+// cursor, the transition heap, and the tick cursor. step dispatches the
+// earliest of their heads in the global (time, key) order. Each node has
+// at most one pending transition, held in the indexed transition heap
+// with its key inline: a resample replaces it in place (a fired
+// transition's own re-arm included: it stays at the root while its
+// handler runs) and a departure or crash cancels it there, so superseded
+// transitions never linger in the heap. A carrier freeze
 // suspends it instead: the residual dwell moves into the node's hot line
 // and is re-armed, with no draw, when the carrier frees up (see freeze;
 // memorylessness keeps the law). Multiplier ticks never enter a heap:
@@ -27,8 +29,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"econcast/internal/econcast"
 	"econcast/internal/faults"
@@ -60,10 +64,14 @@ type coordinator struct {
 	measuring bool
 	seq       uint64
 
-	// The event sources. queue holds packet ends and fault boundaries;
-	// trans holds each node's pending transition, at most one per node.
-	queue eventQueue
-	trans transHeap
+	// The event sources. pkts holds the in-flight packet ends in dispatch
+	// order; faults holds every fault-schedule boundary, sorted once by
+	// start, with faultNext the first not yet dispatched; trans holds each
+	// node's pending transition, at most one per node.
+	pkts      pktFIFO
+	faults    []eventKey
+	faultNext int
+	trans     transHeap
 
 	// The multiplier-tick cursor. Every node ticks at the same instants
 	// tau, 2tau, ..., computed by the same float additions for every node,
@@ -220,7 +228,7 @@ func newCoordinator(cfg Config, flt *faults.Set) *coordinator {
 	}
 	// The transition heap is pre-sized to its exact bound, one entry per
 	// node.
-	c.trans = transHeap{keys: make([]transKey, 0, n), pos: make([]int32, n), mask: 1<<c.shift - 1}
+	c.trans = transHeap{keys: make([]eventKey, 0, n), pos: make([]int32, n), mask: 1<<c.shift - 1}
 	for i := range c.trans.pos {
 		c.trans.pos[i] = -1
 	}
@@ -309,9 +317,9 @@ func (c *coordinator) run() {
 }
 
 // start seeds every node's first transition and multiplier tick plus
-// all of its fault-schedule boundaries, in node order. Fault boundaries
-// are pushed once here — the steady-state loop never schedules fault
-// events, so the fault-free hot path is untouched.
+// all of its fault-schedule boundaries, keyed in node order. Fault
+// boundaries are keyed and sorted once here — the steady-state loop
+// never schedules fault events, so the fault-free hot path is untouched.
 func (c *coordinator) start() {
 	c.tau = c.params[0].Tau
 	c.tickAt = c.tau
@@ -319,21 +327,25 @@ func (c *coordinator) start() {
 		c.scheduleTransition(i)
 		node := i
 		c.flt.Boundaries(i, func(at float64) {
-			c.push(event{at: at, kind: evFault, node: node})
+			c.faults = append(c.faults, eventKey{at: at, seq: c.nextSeq(node)})
 		})
 	}
+	slices.SortFunc(c.faults, func(a, b eventKey) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+	})
 }
 
 // source names the event source holding the earliest event.
 type source uint8
 
 const (
-	fromQueue source = iota
+	fromTick source = iota
 	fromTrans
-	fromTick
+	fromPacket
+	fromFault
 )
 
-// head returns the earliest event key across the three sources and the
+// head returns the earliest event key across the four sources and the
 // source it comes from. Keys are unique, so the heads never tie; the
 // tick cursor always has a next tick, so there always is a head.
 func (c *coordinator) head() (at float64, seq uint64, src source) {
@@ -343,20 +355,37 @@ func (c *coordinator) head() (at float64, seq uint64, src source) {
 			at, seq, src = k.at, k.seq, fromTrans
 		}
 	}
-	if len(c.queue) > 0 && keyLess(c.queue[0].at, c.queue[0].seq, at, seq) {
-		return c.queue[0].at, c.queue[0].seq, fromQueue
+	if c.pkts.n > 0 {
+		if k := &c.pkts.keys[c.pkts.head]; keyLess(k.at, k.seq, at, seq) {
+			at, seq, src = k.at, k.seq, fromPacket
+		}
+	}
+	if c.faultNext < len(c.faults) {
+		if k := &c.faults[c.faultNext]; keyLess(k.at, k.seq, at, seq) {
+			at, seq, src = k.at, k.seq, fromFault
+		}
 	}
 	return at, seq, src
 }
 
 // step dispatches the earliest event. It returns false, dispatching
-// nothing, once that event lies past the horizon.
+// nothing, once that event lies past the horizon. Every source's key
+// carries its node in the low bits of seq (the tick's key is the bare
+// node id).
 func (c *coordinator) step() bool {
 	at, seq, src := c.head()
 	if at > c.horizon {
 		return false
 	}
+	node := int(seq & c.trans.mask)
+	c.clock(at)
 	switch src {
+	case fromTick:
+		if c.tickNext++; c.tickNext == c.n {
+			c.tickNext = 0
+			c.tickAt += c.tau
+		}
+		c.handleTick(node)
 	case fromTrans:
 		// Fire in place: the fired key stays at the root while its handler
 		// runs, so the handler's own arm replaces it with one sift-down and
@@ -364,21 +393,16 @@ func (c *coordinator) step() bool {
 		// is <= every key present or pushed during the handler, so nothing
 		// rises above it. A handler that did neither leaves it to be
 		// removed here.
-		node := int(seq & c.trans.mask)
-		c.dispatch(event{at: at, seq: seq, kind: evTransition, node: node})
+		c.handleTransition(node)
 		if len(c.trans.keys) > 0 && c.trans.keys[0].seq == seq {
 			c.trans.remove(node)
 		}
-	case fromTick:
-		node := c.tickNext
-		if c.tickNext++; c.tickNext == c.n {
-			c.tickNext = 0
-			c.tickAt += c.tau
-		}
-		c.clock(at)
-		c.handleTick(node)
-	default:
-		c.dispatch(c.queue.pop())
+	case fromPacket:
+		c.pkts.pop()
+		c.handlePacketEnd(node)
+	case fromFault:
+		c.faultNext++
+		c.handleFault(node)
 	}
 	return true
 }
@@ -394,20 +418,6 @@ func (c *coordinator) drain() {
 	c.now = c.cfg.Duration
 	for i := 0; i < c.n; i++ {
 		c.accrue(i)
-	}
-}
-
-// dispatch realizes one event; step has already checked it against the
-// horizon.
-func (c *coordinator) dispatch(ev event) {
-	c.clock(ev.at)
-	switch ev.kind {
-	case evTransition:
-		c.handleTransition(ev.node)
-	case evPacketEnd:
-		c.handlePacketEnd(ev.node)
-	case evFault:
-		c.handleFault(ev.node)
 	}
 }
 
@@ -447,12 +457,6 @@ func (c *coordinator) openWindow() {
 func (c *coordinator) nextSeq(i int) uint64 {
 	c.seq++
 	return c.seq<<c.shift | uint64(i)
-}
-
-// push keys the event (nextSeq) and enqueues it.
-func (c *coordinator) push(ev event) {
-	ev.seq = c.nextSeq(ev.node)
-	c.queue.push(ev)
 }
 
 // ---- handlers ----
@@ -813,7 +817,7 @@ func (c *coordinator) startPacket(i int, burstLen int32, delivered bool) {
 		c.logf("%.6f node %d: packet %d of hold, %d listeners",
 			c.now, i, burstLen+1, len(listeners)) //lint:allow hotalloc trace logging; c.logging is off in measured runs
 	}
-	c.push(event{at: c.now + c.packetTime, kind: evPacketEnd, node: i})
+	c.pkts.push(eventKey{at: c.now + c.packetTime, seq: c.nextSeq(i)})
 }
 
 // handlePacketEnd completes transmitter i's current packet: deliver

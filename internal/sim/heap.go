@@ -10,68 +10,40 @@ func keyLess(aAt float64, aSeq uint64, bAt float64, bSeq uint64) bool {
 	return aSeq < bSeq
 }
 
-// eventQueue is a binary min-heap over event values ordered by (at, seq)
-// — the heap for packet ends and fault boundaries (transitions have
-// transHeap, ticks the coordinator's tick cursor), with sift-up/sift-down
-// written directly against the slice. It deliberately does not use
-// container/heap: heap.Push and heap.Pop box every event through
-// interface{}, which allocates on each of the millions of events a run
-// processes; the direct heap keeps the steady-state event loop
-// allocation-free.
-type eventQueue []event
-
-func (q eventQueue) less(i, j int) bool {
-	return keyLess(q[i].at, q[i].seq, q[j].at, q[j].seq)
-}
-
-// push inserts e and restores the heap property by sifting it up.
-func (q *eventQueue) push(e event) {
-	*q = append(*q, e) //lint:allow hotalloc amortized queue growth; capacity is stable in steady state
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the earliest event, sifting the displaced tail
-// element down.
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	*q = h[:n]
-	h = h[:n]
-	i := 0
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && h.less(r, child) {
-			child = r
-		}
-		if !h.less(child, i) {
-			break
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
-	}
-	return top
-}
-
-// transKey is one pending transition's event key. The node id is the
-// low bits of seq (see coordinator.nextSeq), so the heap stores keys
-// inline and needs no per-entry node field.
-type transKey struct {
+// eventKey is one pending event's key. The node id is the low bits of
+// seq (see coordinator.nextSeq), so the event sources store keys inline
+// and need no per-entry node field.
+type eventKey struct {
 	at  float64
 	seq uint64
+}
+
+// pktFIFO is the packet-end queue: a ring buffer of keys in arrival
+// order. Every packet end is scheduled at now + packetTime under a fresh,
+// larger seq, with one run-wide packetTime and a nondecreasing now; IEEE
+// addition is monotone, so keys arrive already (at, seq)-sorted and the
+// FIFO pops them in the order a heap would. len(keys) is zero or a power
+// of two.
+type pktFIFO struct {
+	keys    []eventKey
+	head, n int
+}
+
+// push appends k, doubling the ring when it is full.
+func (q *pktFIFO) push(k eventKey) {
+	if q.n == len(q.keys) {
+		keys := make([]eventKey, max(16, 2*q.n)) //lint:allow hotalloc amortized doubling; the ring stops at its high-water mark, at most two packet ends per node
+		copy(keys[copy(keys, q.keys[q.head:]):], q.keys[:q.head])
+		q.keys, q.head = keys, 0
+	}
+	q.keys[(q.head+q.n)&(len(q.keys)-1)] = k
+	q.n++
+}
+
+// pop drops the front key.
+func (q *pktFIFO) pop() {
+	q.head = (q.head + 1) & (len(q.keys) - 1)
+	q.n--
 }
 
 // transHeap is an indexed binary min-heap of pending transitions, at
@@ -80,7 +52,7 @@ type transKey struct {
 // than there are nodes. pos[node] is the node's position in keys, -1
 // when none is pending. mask extracts the node id from a key.
 type transHeap struct {
-	keys []transKey
+	keys []eventKey
 	pos  []int32
 	mask uint64
 }
@@ -100,23 +72,23 @@ func (h *transHeap) swap(i, j int) {
 // transition it already had.
 func (h *transHeap) set(node int, at float64, seq uint64) {
 	if i := int(h.pos[node]); i >= 0 {
-		h.keys[i] = transKey{at: at, seq: seq}
+		h.keys[i] = eventKey{at: at, seq: seq}
 		if !h.up(i) {
 			h.down(i)
 		}
 		return
 	}
 	h.pos[node] = int32(len(h.keys))
-	h.keys = append(h.keys, transKey{at: at, seq: seq}) //lint:allow hotalloc pre-sized to the node count, which bounds the heap
+	h.keys = append(h.keys, eventKey{at: at, seq: seq}) //lint:allow hotalloc pre-sized to the node count, which bounds the heap
 	h.up(len(h.keys) - 1)
 }
 
 // remove deletes node's pending transition and returns its key; ok is
 // false when the node has none.
-func (h *transHeap) remove(node int) (k transKey, ok bool) {
+func (h *transHeap) remove(node int) (k eventKey, ok bool) {
 	i := int(h.pos[node])
 	if i < 0 {
-		return transKey{}, false
+		return eventKey{}, false
 	}
 	k = h.keys[i]
 	h.pos[node] = -1

@@ -7,7 +7,7 @@ import (
 
 // checkTransHeap verifies the heap order and the pos index of h against
 // want, the pending key of every node (ok false: none).
-func checkTransHeap(t *testing.T, h *transHeap, want map[int]transKey) {
+func checkTransHeap(t *testing.T, h *transHeap, want map[int]eventKey) {
 	t.Helper()
 	if len(h.keys) != len(want) {
 		t.Fatalf("%d keys, want %d", len(h.keys), len(want))
@@ -41,11 +41,11 @@ func TestTransHeapRandomOps(t *testing.T) {
 	for i := range h.pos {
 		h.pos[i] = -1
 	}
-	want := map[int]transKey{}
+	want := map[int]eventKey{}
 	lam := uint64(0)
-	key := func(node int) transKey {
+	key := func(node int) eventKey {
 		lam++
-		return transKey{at: float64(rnd.IntN(8)), seq: lam<<seqShift(n) | uint64(node)}
+		return eventKey{at: float64(rnd.IntN(8)), seq: lam<<seqShift(n) | uint64(node)}
 	}
 	for step := 0; step < 20000; step++ {
 		switch node := rnd.IntN(n); rnd.IntN(4) {

@@ -45,21 +45,35 @@ func underRace(cfg Config, d float64) Config {
 	return cfg
 }
 
-// TestPendingEventsBounded pins the one-pending-transition invariant:
-// after every step, the transition heap holds at most one entry per
-// node, and the event queue at most two per node plus the fault
-// boundaries pushed at start (the queue holds only packet ends and
-// fault boundaries; ticks come from the cursor). A superseded
-// transition is cancelled in place and a frozen one suspended, so
-// nothing accumulates. Left in the heap to be dropped at dispatch
-// instead, the superseded transitions of the cold clique below peak at
-// 1,079,115 entries for ten nodes: its multipliers grow until sleep
-// dwells run past the horizon, and those entries are never popped. The
-// grid adds carrier-sense freezes and resamples of neighbors. Under the
-// race detector the runs are 1000 s and 60 s (about 340k and 1.2M
-// steps).
+// TestPendingEventsBounded pins the bounds and orders of the pending
+// event sources after every step. The transition heap holds at most one
+// entry per node: a superseded transition is cancelled in place and a
+// frozen one suspended, so nothing accumulates. Left in the heap to be
+// dropped at dispatch instead, the superseded transitions of the cold
+// clique below peak at 1,079,115 entries for ten nodes: its multipliers
+// grow until sleep dwells run past the horizon, and those entries are
+// never popped. The packet-end FIFO is (at, seq)-sorted, which is what
+// lets a FIFO stand in for a heap, and holds at most two entries per
+// node (a crashed transmitter's stale packet end can outlive it into a
+// new hold). The fault boundaries not yet dispatched stay sorted. The
+// grid adds carrier-sense freezes and resamples of neighbors, and the
+// faulty grid crashes, restarts and silences. Under the race detector
+// the runs are 1000 s, 60 s and 30 s (about 340k, 1.2M and 260k steps).
 func TestPendingEventsBounded(t *testing.T) {
 	grid := withNodes(gridCfg(5), topology.Grid(10, 10))
+	faulty := gridCfg(17)
+	faulty.Faults = &faults.Config{
+		Crash:   &faults.Crash{MeanUp: 40, MeanDown: 10},
+		Silence: &faults.Silence{MeanEvery: 80, MeanFor: 5},
+	}
+	sorted := func(keys []eventKey) bool {
+		for i := 1; i < len(keys); i++ {
+			if !keyLess(keys[i-1].at, keys[i-1].seq, keys[i].at, keys[i].seq) {
+				return false
+			}
+		}
+		return true
+	}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -72,28 +86,39 @@ func TestPendingEventsBounded(t *testing.T) {
 			Seed:     3,
 		}, 1000)},
 		{"grid", underRace(grid, 60)},
+		{"grid-faults", underRace(faulty, 30)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bounds, maxQueue := -1, 0
-			_, steps := stepped(t, tc.cfg, func(c *coordinator) {
-				if bounds < 0 {
-					bounds = 0
-					for i := 0; i < c.n; i++ {
-						c.flt.Boundaries(i, func(float64) { bounds++ })
-					}
-				}
+			maxPkts := 0
+			var pkts []eventKey
+			c, steps := stepped(t, tc.cfg, func(c *coordinator) {
 				if len(c.trans.keys) > c.n {
 					t.Fatalf("%d pending transitions for %d nodes", len(c.trans.keys), c.n)
 				}
-				if len(c.queue) > 2*c.n+bounds {
-					t.Fatalf("%d queued events for %d nodes and %d fault boundaries", len(c.queue), c.n, bounds)
+				q := &c.pkts
+				if q.n > 2*c.n {
+					t.Fatalf("%d pending packet ends for %d nodes", q.n, c.n)
 				}
-				maxQueue = max(maxQueue, len(c.queue))
+				pkts = pkts[:0]
+				for k := 0; k < q.n; k++ {
+					pkts = append(pkts, q.keys[(q.head+k)&(len(q.keys)-1)])
+				}
+				if !sorted(pkts) {
+					t.Fatalf("packet-end FIFO out of (at, seq) order: %v", pkts)
+				}
+				if !sorted(c.faults[c.faultNext:]) {
+					t.Fatal("unread fault boundaries out of (at, seq) order")
+				}
+				maxPkts = max(maxPkts, q.n)
 			})
 			if steps < 10_000 {
 				t.Fatalf("only %d steps; the check is too weak", steps)
 			}
-			t.Logf("%d steps, queue high-water %d", steps, maxQueue)
+			if tc.cfg.Faults != nil && c.faultNext < 2 {
+				t.Fatalf("only %d fault boundaries dispatched; the check is too weak", c.faultNext)
+			}
+			t.Logf("%d steps, packet-end high-water %d, %d of %d fault boundaries dispatched",
+				steps, maxPkts, c.faultNext, len(c.faults))
 		})
 	}
 }

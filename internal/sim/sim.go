@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 
 	"econcast/internal/econcast"
@@ -149,11 +148,8 @@ func (c *Config) validate() error {
 		return fmt.Errorf("sim: topology nodes %d != network nodes %d",
 			c.Topology.N(), c.Network.N())
 	}
-	if !(c.Duration > 0) || math.IsInf(c.Duration, 0) {
-		return errors.New("sim: duration must be positive and finite")
-	}
-	if !(c.Warmup >= 0) || c.Warmup >= c.Duration {
-		return errors.New("sim: warmup must be in [0, duration)")
+	if err := model.CheckHorizon(c.Duration, c.Warmup); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	if c.WarmEta != nil && len(c.WarmEta) != c.Network.N() {
 		return errors.New("sim: WarmEta length mismatch")
@@ -232,20 +228,6 @@ type Metrics struct {
 	// Config.Faults is unset) — byte-identical across substrates for the
 	// same fault config and seed.
 	FaultTrace []faults.Event `json:",omitempty"`
-}
-
-// event kinds.
-const (
-	evTransition = iota // node's sampled state transition
-	evPacketEnd         // end of the current unit packet
-	evFault             // fault-schedule boundary (crash/brownout/silence edge)
-)
-
-type event struct {
-	at   float64
-	seq  uint64 // tie-break key: run-wide counter and node (see coordinator.nextSeq)
-	kind int
-	node int
 }
 
 // Run simulates the configuration and returns its metrics on the

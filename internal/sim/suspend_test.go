@@ -64,11 +64,11 @@ func handClique(t *testing.T, leave0, leave1 *float64, mut func(*Config)) (*coor
 }
 
 // pending returns node i's pending transition, ok false when none.
-func pending(c *coordinator, i int) (transKey, bool) {
+func pending(c *coordinator, i int) (eventKey, bool) {
 	if p := c.trans.pos[i]; p >= 0 {
 		return c.trans.keys[p], true
 	}
-	return transKey{}, false
+	return eventKey{}, false
 }
 
 // transmitAt wakes node tx and starts its transmission at time at.
@@ -179,7 +179,7 @@ func TestSuspendChurnDeparture(t *testing.T) {
 // neighbors resume from their residuals.
 func TestSuspendTransmitterCrash(t *testing.T) {
 	c, t0 := handClique(t, never(), never(), nil)
-	before := [3]transKey{}
+	before := [3]eventKey{}
 	streams := slices.Clone(c.rngs)
 	for j := 1; j < 3; j++ {
 		before[j], _ = pending(c, j)

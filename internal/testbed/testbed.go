@@ -23,6 +23,7 @@ package testbed
 import (
 	"container/heap"
 	"errors"
+	"fmt"
 	"math"
 
 	"econcast/internal/econcast"
@@ -100,8 +101,8 @@ func (c Config) validate() error {
 	if !(c.Sigma > 0) {
 		return errors.New("testbed: sigma must be positive")
 	}
-	if !(c.Duration > 0) || c.Warmup < 0 || c.Warmup >= c.Duration {
-		return errors.New("testbed: bad duration/warmup")
+	if err := model.CheckHorizon(c.Duration, c.Warmup); err != nil {
+		return fmt.Errorf("testbed: %w", err)
 	}
 	return nil
 }

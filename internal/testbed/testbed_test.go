@@ -25,6 +25,8 @@ func TestValidation(t *testing.T) {
 		{N: 5, Sigma: 0, Duration: 10},
 		{N: 5, Sigma: 0.25, Duration: 0},
 		{N: 5, Sigma: 0.25, Duration: 10, Warmup: 10},
+		{N: 5, Sigma: 0.25, Duration: math.Inf(1)},
+		{N: 5, Sigma: 0.25, Duration: 10, Warmup: math.NaN()},
 	}
 	for i, c := range bad {
 		if _, err := Run(c); err == nil {
