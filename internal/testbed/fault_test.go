@@ -79,30 +79,6 @@ func TestFaultSilenceMutesDeliveries(t *testing.T) {
 	}
 }
 
-// TestFaultSharedProcessesDeterministic pins that runs under the full
-// fault mix are reproducible for a fixed seed.
-func TestFaultSharedProcessesDeterministic(t *testing.T) {
-	c := baseCfg()
-	c.Duration, c.Warmup = 400, 100
-	c.Faults = &faults.Config{
-		Crash:    &faults.Crash{Kill: []int{1}, KillAt: 200},
-		Loss:     &faults.Loss{P: 0.1},
-		Drift:    &faults.Drift{Max: 0.03},
-		Brownout: &faults.Brownout{MeanEvery: 60, MeanFor: 30},
-	}
-	a, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Groupput != b.Groupput || a.PacketsSent != b.PacketsSent || a.LostPings != b.LostPings {
-		t.Fatal("faulted testbed runs with the same seed diverged")
-	}
-}
-
 // TestFaultLegacyImperfectionsMapToProcesses pins that the hardware's
 // default sleep-clock drift and ping loss compile into shared Drift/Loss
 // fault processes, so LostPings is populated by the default 2%
