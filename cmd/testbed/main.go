@@ -73,9 +73,12 @@ func main() {
 	fmt.Println()
 }
 
+// fatal exits on err. Every error reaching it already names the package
+// it came from ("testbed: ...", "statespace: ..."), so it is printed as
+// is.
 func fatal(err error) {
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "testbed: %v\n", err)
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }

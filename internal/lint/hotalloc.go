@@ -32,6 +32,13 @@ var hotEntries = map[string][]hotEntry{
 		// and every handler are reachable.
 		{recv: "coordinator", method: "step"},
 	},
+	// The shared event heap: both engines call Set and Remove once per
+	// event, and the hot closure stays within one package, so the
+	// heap's own methods are entries here.
+	"econcast/internal/evq": {
+		{recv: "Heap", method: "Set"},
+		{recv: "Heap", method: "Remove"},
+	},
 	"econcast/internal/asim": {
 		{recv: "broker", method: "loop"},
 		{recv: "nodeRuntime", method: "run"},

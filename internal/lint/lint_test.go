@@ -104,6 +104,8 @@ func TestFixtures(t *testing.T) {
 		{"hotalloc/statespace-outside-hot-pkg", filepath.Join("hotalloc", "statespace"), "econcast/internal/viz", HotAlloc, true},
 		{"hotalloc/faults-query-tree", filepath.Join("hotalloc", "faults"), "econcast/internal/faults", HotAlloc, false},
 		{"hotalloc/faults-outside-hot-pkg", filepath.Join("hotalloc", "faults"), "econcast/internal/viz", HotAlloc, true},
+		{"hotalloc/evq-heap-tree", filepath.Join("hotalloc", "evq"), "econcast/internal/evq", HotAlloc, false},
+		{"hotalloc/evq-outside-hot-pkg", filepath.Join("hotalloc", "evq"), "econcast/internal/viz", HotAlloc, true},
 		{"hotalloc/shard-coordinator-tree", filepath.Join("hotalloc", "shard"), "econcast/internal/sim", HotAlloc, false},
 		{"hotalloc/shard-outside-hot-pkg", filepath.Join("hotalloc", "shard"), "econcast/internal/viz", HotAlloc, true},
 		{"hotalloc/flow-sensitive", filepath.Join("hotalloc", "flow"), "econcast/internal/sim", HotAlloc, false},

@@ -11,7 +11,7 @@ import (
 // stats.Accumulator, econcast.Node, faults.Set). Instance-owned types
 // are the sharedstate analyzer's jurisdiction — one instance must not be
 // consumed from two goroutines — while shardown's cross-domain rules
-// apply only to role domains (sim-engine, asim-broker, ...), where the
+// apply only to role domains (asim-broker, asim-node), where the
 // domain names a specific goroutine role and any access from another
 // role is a contract violation.
 const InstanceOwned = "goroutine"

@@ -5,12 +5,14 @@
 // cheapest structure its order allows: a FIFO of packet ends (they
 // arrive in order), a sorted slice of fault boundaries read through a
 // cursor, the transition heap, and the tick cursor. step dispatches the
-// earliest of their heads in the global (time, key) order. Each node has
-// at most one pending transition, held in the indexed transition heap
-// with its key inline: a resample replaces it in place (a fired
-// transition's own re-arm included: it stays at the root while its
-// handler runs) and a departure or crash cancels it there, so superseded
-// transitions never linger in the heap. A carrier freeze
+// earliest of their heads in the global (time, key) order of
+// internal/evq, which also holds the key format and the indexed heap
+// that the testbed emulator shares. Each node has at most one pending
+// transition, held in the transition heap (an evq.Heap) with its key
+// inline: a resample replaces it in place (a fired transition's own
+// re-arm included: it stays at the root while its handler runs) and a
+// departure or crash cancels it there, so superseded transitions never
+// linger in the heap. A carrier freeze
 // suspends it instead: the residual dwell moves into the node's hot line
 // and is re-armed, with no draw, when the carrier frees up (see freeze;
 // memorylessness keeps the law). Multiplier ticks never enter a heap:
@@ -29,12 +31,11 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"econcast/internal/econcast"
+	"econcast/internal/evq"
 	"econcast/internal/faults"
 	"econcast/internal/model"
 	"econcast/internal/rng"
@@ -45,8 +46,6 @@ import (
 // coordinator is the engine: SoA node state, the event sources, and the
 // dispatch clock and counters. One goroutine drives it; the event
 // handlers are its methods.
-//
-//lint:owner sim-engine the event-loop goroutine owns all coordinator state
 type coordinator struct {
 	cfg  Config
 	n    int
@@ -69,9 +68,9 @@ type coordinator struct {
 	// start, with faultNext the first not yet dispatched; trans holds each
 	// node's pending transition, at most one per node.
 	pkts      pktFIFO
-	faults    []eventKey
+	faults    []evq.Key
 	faultNext int
-	trans     transHeap
+	trans     evq.Heap
 
 	// The multiplier-tick cursor. Every node ticks at the same instants
 	// tau, 2tau, ..., computed by the same float additions for every node,
@@ -203,7 +202,7 @@ func newCoordinator(cfg Config, flt *faults.Set) *coordinator {
 		cfg:        cfg,
 		n:          n,
 		horizon:    cfg.Duration,
-		shift:      seqShift(n),
+		shift:      evq.Shift(n),
 		topo:       cfg.Topology,
 		flt:        flt,
 		logging:    cfg.EventLog != nil,
@@ -226,12 +225,7 @@ func newCoordinator(cfg Config, flt *faults.Set) *coordinator {
 	if cfg.TrackOccupancy {
 		c.met.Occupancy = make(map[model.NetState]float64)
 	}
-	// The transition heap is pre-sized to its exact bound, one entry per
-	// node.
-	c.trans = transHeap{keys: make([]eventKey, 0, n), pos: make([]int32, n), mask: 1<<c.shift - 1}
-	for i := range c.trans.pos {
-		c.trans.pos[i] = -1
-	}
+	c.trans = evq.NewHeap(n)
 	degSum, maxDeg := 0, 0
 	for i := 0; i < n; i++ {
 		d := c.topo.Degree(i)
@@ -327,12 +321,10 @@ func (c *coordinator) start() {
 		c.scheduleTransition(i)
 		node := i
 		c.flt.Boundaries(i, func(at float64) {
-			c.faults = append(c.faults, eventKey{at: at, seq: c.nextSeq(node)})
+			c.faults = append(c.faults, evq.Key{At: at, Seq: c.nextSeq(node)})
 		})
 	}
-	slices.SortFunc(c.faults, func(a, b eventKey) int {
-		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
-	})
+	evq.Sort(c.faults)
 }
 
 // source names the event source holding the earliest event.
@@ -350,19 +342,19 @@ const (
 // tick cursor always has a next tick, so there always is a head.
 func (c *coordinator) head() (at float64, seq uint64, src source) {
 	at, seq, src = c.tickAt, uint64(c.tickNext), fromTick
-	if len(c.trans.keys) > 0 {
-		if k := &c.trans.keys[0]; keyLess(k.at, k.seq, at, seq) {
-			at, seq, src = k.at, k.seq, fromTrans
+	if c.trans.Len() > 0 {
+		if k := c.trans.Min(); evq.Less(k.At, k.Seq, at, seq) {
+			at, seq, src = k.At, k.Seq, fromTrans
 		}
 	}
 	if c.pkts.n > 0 {
-		if k := &c.pkts.keys[c.pkts.head]; keyLess(k.at, k.seq, at, seq) {
-			at, seq, src = k.at, k.seq, fromPacket
+		if k := &c.pkts.keys[c.pkts.head]; evq.Less(k.At, k.Seq, at, seq) {
+			at, seq, src = k.At, k.Seq, fromPacket
 		}
 	}
 	if c.faultNext < len(c.faults) {
-		if k := &c.faults[c.faultNext]; keyLess(k.at, k.seq, at, seq) {
-			at, seq, src = k.at, k.seq, fromFault
+		if k := &c.faults[c.faultNext]; evq.Less(k.At, k.Seq, at, seq) {
+			at, seq, src = k.At, k.Seq, fromFault
 		}
 	}
 	return at, seq, src
@@ -377,7 +369,7 @@ func (c *coordinator) step() bool {
 	if at > c.horizon {
 		return false
 	}
-	node := int(seq & c.trans.mask)
+	node := c.trans.Node(seq)
 	c.clock(at)
 	switch src {
 	case fromTick:
@@ -394,8 +386,8 @@ func (c *coordinator) step() bool {
 		// rises above it. A handler that did neither leaves it to be
 		// removed here.
 		c.handleTransition(node)
-		if len(c.trans.keys) > 0 && c.trans.keys[0].seq == seq {
-			c.trans.remove(node)
+		if c.trans.Len() > 0 && c.trans.Min().Seq == seq {
+			c.trans.Remove(node)
 		}
 	case fromPacket:
 		c.pkts.pop()
@@ -476,14 +468,14 @@ func (c *coordinator) accrue(i int) {
 // transition heap in place, and drops a suspended one.
 func (c *coordinator) cancel(i int) {
 	c.hot[i].clear(fSuspended)
-	c.trans.remove(i)
+	c.trans.Remove(i)
 }
 
 // arm makes at node i's pending transition under a fresh key, replacing
 // any it had in place and dropping a suspended one.
 func (c *coordinator) arm(i int, at float64) {
 	c.hot[i].clear(fSuspended)
-	c.trans.set(i, at, c.nextSeq(i))
+	c.trans.Set(i, at, c.nextSeq(i))
 }
 
 // freeze stops node i's clock when its carrier turns busy. A node whose
@@ -502,8 +494,8 @@ func (c *coordinator) freeze(i int) {
 		c.scheduleTransition(i)
 		return
 	}
-	if k, ok := c.trans.remove(i); ok {
-		h.resid = k.at - c.now
+	if k, ok := c.trans.Remove(i); ok {
+		h.resid = k.At - c.now
 		h.set(fSuspended)
 	}
 }
@@ -817,7 +809,7 @@ func (c *coordinator) startPacket(i int, burstLen int32, delivered bool) {
 		c.logf("%.6f node %d: packet %d of hold, %d listeners",
 			c.now, i, burstLen+1, len(listeners)) //lint:allow hotalloc trace logging; c.logging is off in measured runs
 	}
-	c.pkts.push(eventKey{at: c.now + c.packetTime, seq: c.nextSeq(i)})
+	c.pkts.push(evq.Key{At: c.now + c.packetTime, Seq: c.nextSeq(i)})
 }
 
 // handlePacketEnd completes transmitter i's current packet: deliver

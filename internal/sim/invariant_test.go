@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"econcast/internal/econcast"
+	"econcast/internal/evq"
 	"econcast/internal/faults"
 	"econcast/internal/model"
 	"econcast/internal/topology"
@@ -66,9 +67,9 @@ func TestPendingEventsBounded(t *testing.T) {
 		Crash:   &faults.Crash{MeanUp: 40, MeanDown: 10},
 		Silence: &faults.Silence{MeanEvery: 80, MeanFor: 5},
 	}
-	sorted := func(keys []eventKey) bool {
+	sorted := func(keys []evq.Key) bool {
 		for i := 1; i < len(keys); i++ {
-			if !keyLess(keys[i-1].at, keys[i-1].seq, keys[i].at, keys[i].seq) {
+			if !evq.Less(keys[i-1].At, keys[i-1].Seq, keys[i].At, keys[i].Seq) {
 				return false
 			}
 		}
@@ -90,10 +91,10 @@ func TestPendingEventsBounded(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			maxPkts := 0
-			var pkts []eventKey
+			var pkts []evq.Key
 			c, steps := stepped(t, tc.cfg, func(c *coordinator) {
-				if len(c.trans.keys) > c.n {
-					t.Fatalf("%d pending transitions for %d nodes", len(c.trans.keys), c.n)
+				if c.trans.Len() > c.n {
+					t.Fatalf("%d pending transitions for %d nodes", c.trans.Len(), c.n)
 				}
 				q := &c.pkts
 				if q.n > 2*c.n {

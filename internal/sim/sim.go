@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 
 	"econcast/internal/econcast"
 	"econcast/internal/faults"
@@ -184,14 +183,6 @@ func (c *Config) nodeConfig(i int) econcast.Config {
 // rngNodeDomain separates the per-node stream family from any other
 // DeriveSeed use of the run seed.
 const rngNodeDomain = 0x4e4f4445 // "NODE"
-
-// seqShift returns the bit width reserved for the node id in an event
-// key: seq = k << seqShift(n) | node, where k counts the keys handed out
-// over the whole run. At 100k nodes that leaves 47 bits, ~1.4e14 keys,
-// far beyond any feasible run.
-func seqShift(n int) uint {
-	return uint(bits.Len(uint(n)))
-}
 
 // Metrics are the outputs of a run, measured over (Warmup, Duration].
 type Metrics struct {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"econcast/internal/econcast"
+	"econcast/internal/evq"
 	"econcast/internal/faults"
 	"econcast/internal/model"
 	"econcast/internal/topology"
@@ -54,21 +55,13 @@ func handClique(t *testing.T, leave0, leave1 *float64, mut func(*Config)) (*coor
 	c.start()
 	first := math.Inf(1)
 	for i := 0; i < c.n; i++ {
-		k, ok := pending(c, i)
+		k, ok := c.trans.Pending(i)
 		if !ok {
 			t.Fatalf("node %d has no first transition", i)
 		}
-		first = math.Min(first, k.at)
+		first = math.Min(first, k.At)
 	}
 	return c, first / 2
-}
-
-// pending returns node i's pending transition, ok false when none.
-func pending(c *coordinator, i int) (eventKey, bool) {
-	if p := c.trans.pos[i]; p >= 0 {
-		return c.trans.keys[p], true
-	}
-	return eventKey{}, false
 }
 
 // transmitAt wakes node tx and starts its transmission at time at.
@@ -86,14 +79,14 @@ func never() *float64 { v := math.Inf(1); return &v }
 func TestSuspendKeepsResidual(t *testing.T) {
 	leave0 := math.Inf(1)
 	c, t0 := handClique(t, &leave0, never(), nil)
-	before, _ := pending(c, 1)
+	before, _ := c.trans.Pending(1)
 	stream := c.rngs[1]
 
 	transmitAt(c, 0, t0)
 	if !c.hot[1].has(fSuspended) {
 		t.Fatal("the sleeper was not suspended")
 	}
-	if _, ok := pending(c, 1); ok {
+	if _, ok := c.trans.Pending(1); ok {
 		t.Fatal("a suspended transition stayed in the heap")
 	}
 
@@ -101,11 +94,11 @@ func TestSuspendKeepsResidual(t *testing.T) {
 	leave0 = t1 // node 0 departs, so its hold ends with the first packet
 	c.now = t1
 	c.handlePacketEnd(0)
-	after, ok := pending(c, 1)
-	if want := t1 + (before.at - t0); !ok || after.at != want {
-		t.Fatalf("after the release: pending %t at %v, want %v", ok, after.at, want)
+	after, ok := c.trans.Pending(1)
+	if want := t1 + (before.At - t0); !ok || after.At != want {
+		t.Fatalf("after the release: pending %t at %v, want %v", ok, after.At, want)
 	}
-	if after.seq == before.seq {
+	if after.Seq == before.Seq {
 		t.Fatal("the re-armed transition kept its old key")
 	}
 	if c.hot[1].has(fSuspended) {
@@ -121,7 +114,7 @@ func TestSuspendKeepsResidual(t *testing.T) {
 func TestSuspendDroppedByTick(t *testing.T) {
 	leave0 := math.Inf(1)
 	c, t0 := handClique(t, &leave0, never(), nil)
-	before, _ := pending(c, 1)
+	before, _ := c.trans.Pending(1)
 	transmitAt(c, 0, t0)
 
 	c.now = t0 + c.packetTime/2
@@ -135,14 +128,14 @@ func TestSuspendDroppedByTick(t *testing.T) {
 	leave0 = t1
 	c.now = t1
 	c.handlePacketEnd(0)
-	after, ok := pending(c, 1)
+	after, ok := c.trans.Pending(1)
 	if !ok {
 		t.Fatal("no transition after the unfreeze")
 	}
 	if c.rngs[1] == stream {
 		t.Fatal("the unfreeze did not draw a fresh dwell")
 	}
-	if after.at == t1+(before.at-t0) {
+	if after.At == t1+(before.At-t0) {
 		t.Fatal("the unfreeze reused the dropped residual")
 	}
 }
@@ -164,7 +157,7 @@ func TestSuspendChurnDeparture(t *testing.T) {
 	leave0 = t1
 	c.now = t1
 	c.handlePacketEnd(0)
-	if _, ok := pending(c, 1); ok {
+	if _, ok := c.trans.Pending(1); ok {
 		t.Fatal("a departed node was re-armed")
 	}
 	if c.hot[1].has(fSuspended) {
@@ -179,10 +172,10 @@ func TestSuspendChurnDeparture(t *testing.T) {
 // neighbors resume from their residuals.
 func TestSuspendTransmitterCrash(t *testing.T) {
 	c, t0 := handClique(t, never(), never(), nil)
-	before := [3]eventKey{}
+	before := [3]evq.Key{}
 	streams := slices.Clone(c.rngs)
 	for j := 1; j < 3; j++ {
-		before[j], _ = pending(c, j)
+		before[j], _ = c.trans.Pending(j)
 	}
 	transmitAt(c, 0, t0)
 
@@ -198,10 +191,10 @@ func TestSuspendTransmitterCrash(t *testing.T) {
 		t.Fatalf("crashed transmitter in state %v", c.hot[0].state)
 	}
 	for j := 1; j < 3; j++ {
-		after, ok := pending(c, j)
-		want := tk + (before[j].at - t0)
-		if !ok || after.at != want {
-			t.Errorf("node %d: pending %t at %v, want %v", j, ok, after.at, want)
+		after, ok := c.trans.Pending(j)
+		want := tk + (before[j].At - t0)
+		if !ok || after.At != want {
+			t.Errorf("node %d: pending %t at %v, want %v", j, ok, after.At, want)
 		}
 		if c.hot[j].has(fSuspended) || c.rngs[j] != streams[j] {
 			t.Errorf("node %d: suspended %t, stream advanced %t", j, c.hot[j].has(fSuspended), c.rngs[j] != streams[j])
@@ -237,7 +230,7 @@ func TestSuspendDroppedByForcedSleep(t *testing.T) {
 	if c.hot[1].has(fSuspended) {
 		t.Fatal("the forced sleep left the suspension in place")
 	}
-	if _, ok := pending(c, 1); ok {
+	if _, ok := c.trans.Pending(1); ok {
 		t.Fatal("a depleted sleeper has a pending transition")
 	}
 }

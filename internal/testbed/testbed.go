@@ -21,12 +21,12 @@
 package testbed
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
 
 	"econcast/internal/econcast"
+	"econcast/internal/evq"
 	"econcast/internal/faults"
 	"econcast/internal/model"
 	"econcast/internal/rng"
@@ -139,55 +139,48 @@ type Metrics struct {
 	FaultTrace []faults.Event `json:",omitempty"`
 }
 
-// event kinds.
-const (
-	evTransition = iota
-	evPacketEnd
-	evPingEnd
-	evTick
-	evFault // fault-schedule boundary (crash/brownout/silence edge)
-)
-
-type event struct {
-	at      float64
-	seq     uint64
-	kind    int
-	node    int
-	version uint64
-}
-
-type queue []event
-
-func (q queue) Len() int { return len(q) }
-func (q queue) Less(i, j int) bool {
-	if q[i].at != q[j].at { //lint:allow floateq exact tie detection so equal-time events fall through to the seq tiebreak
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q queue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *queue) Push(x any)   { *q = append(*q, x.(event)) }
-func (q *queue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
-
 type nodeState struct {
-	proto   *econcast.Node
-	state   model.State
-	version uint64
-	drift   float64 // sleep-clock scale factor
-	last    float64 // last energy accrual time
+	proto *econcast.Node
+	state model.State
+	drift float64 // sleep-clock scale factor
+	last  float64 // last energy accrual time
 
 	actual  float64 // real energy consumed (J), with overhead
 	virtual float64 // nominal energy consumed (J)
 }
 
-//lint:owner testbed-engine the testbed event loop owns all engine state
+// engine is the emulator's event loop. step merges three event sources
+// in the (at, seq) order of internal/evq:
+//
+//   - pending, the indexed heap of each node's one pending event: its
+//     next transition while it sleeps or listens; while it transmits, its
+//     packet end, or its ping end when pinging is set (the clique has one
+//     transmitter at a time). A resample replaces the key in place and a
+//     crash removes it, so no superseded event is ever dispatched;
+//   - the tick cursor: every node ticks at tau, 2tau, ..., so tickNext
+//     walks the nodes in ascending id at tickAt;
+//   - the fault boundaries, sorted once by start and read at faultNext.
+//
+// Every event takes its key from one run-wide counter when it is
+// scheduled (see nextSeq): a tick when the node's previous tick runs, a
+// fault boundary in start. So events at one instant run in the order
+// they were scheduled: a crash at a multiple of tau after the first
+// (KillAt 300) runs before that instant's ticks, which run in node order.
 type engine struct {
 	cfg   Config
 	src   *rng.Source
 	nodes []nodeState
 	now   float64
-	q     queue
 	seq   uint64
+	shift uint
+
+	pending   evq.Heap
+	pinging   bool
+	tickAt    float64
+	tickNext  int
+	tickSeq   []uint64 // tickSeq[i] is the seq of node i's next tick
+	faults    []evq.Key
+	faultNext int
 
 	transmitter int
 	listeners   []int // receivers of the current packet
@@ -204,6 +197,16 @@ type engine struct {
 
 // Run executes the emulated experiment.
 func Run(cfg Config) (*Metrics, error) {
+	e, err := newEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	e.run()
+	return e.finish(), nil
+}
+
+// newEngine validates cfg and builds its engine, ready to start.
+func newEngine(cfg Config) (*engine, error) {
 	cfg.Budget = model.DefaultIfZero(cfg.Budget, 1*model.MilliWatt)
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -216,6 +219,9 @@ func Run(cfg Config) (*Metrics, error) {
 		cfg:         cfg,
 		src:         rng.New(cfg.Seed),
 		nodes:       make([]nodeState, cfg.N),
+		shift:       evq.Shift(cfg.N),
+		pending:     evq.NewHeap(cfg.N),
+		tickSeq:     make([]uint64, cfg.N),
 		transmitter: -1,
 		flt:         flt,
 	}
@@ -249,14 +255,14 @@ func Run(cfg Config) (*Metrics, error) {
 			e.nodes[i].proto.SetEta(cfg.WarmEta[i] * p0)
 		}
 	}
-	e.run()
-	return e.finish(), nil
+	return e, nil
 }
 
-func (e *engine) push(ev event) {
-	ev.seq = e.seq
+// nextSeq returns the key of the event being scheduled for node i:
+// seq = k<<shift | i, with k counting every key handed out in the run.
+func (e *engine) nextSeq(i int) uint64 {
 	e.seq++
-	heap.Push(&e.q, ev)
+	return e.seq<<e.shift | uint64(i)
 }
 
 // spend accrues dt seconds in the given nominal state for node i: the
@@ -292,82 +298,138 @@ func (e *engine) busyFor(i int) bool {
 	return e.transmitter >= 0 && e.transmitter != i
 }
 
+// schedule replaces node i's pending event by a fresh transition, or
+// cancels it when the node transmits, is down or has no way out of its
+// state.
 func (e *engine) schedule(i int) {
 	ns := &e.nodes[i]
-	ns.version++
-	if ns.state == model.Transmit || !e.flt.Alive(i, e.now) {
-		return
-	}
-	r := ns.proto.Rates(!e.busyFor(i), 0)
 	var total float64
-	switch ns.state {
-	case model.Sleep:
-		total = r.SleepToListen
-	case model.Listen:
-		total = r.ListenToSleep + r.ListenToTransmit
+	if ns.state != model.Transmit && e.flt.Alive(i, e.now) {
+		r := ns.proto.Rates(!e.busyFor(i), 0)
+		switch ns.state {
+		case model.Sleep:
+			total = r.SleepToListen
+		case model.Listen:
+			total = r.ListenToSleep + r.ListenToTransmit
+		}
 	}
 	if total <= 0 {
+		e.pending.Remove(i)
 		return
 	}
 	dt := e.src.Exp(total)
 	if ns.state == model.Sleep {
 		dt *= ns.drift // the low-power sleep clock drifts
 	}
-	e.push(event{at: e.now + dt, kind: evTransition, node: i, version: ns.version})
+	e.pending.Set(i, e.now+dt, e.nextSeq(i))
 }
 
-// run drains the event heap to the horizon.
+// run drives the event loop to the horizon.
 func (e *engine) run() {
+	e.start()
+	for e.step() {
+	}
+	e.drain()
+}
+
+// start seeds every node's first transition, first tick and fault
+// boundaries, keyed in node order, and sorts the boundaries once.
+func (e *engine) start() {
+	e.tickAt = tau
 	for i := range e.nodes {
 		e.schedule(i)
-		e.push(event{at: tau, kind: evTick, node: i})
+		e.tickSeq[i] = e.nextSeq(i)
 		node := i
 		e.flt.Boundaries(i, func(at float64) {
-			e.push(event{at: at, kind: evFault, node: node})
+			e.faults = append(e.faults, evq.Key{At: at, Seq: e.nextSeq(node)})
 		})
 	}
-	for len(e.q) > 0 {
-		ev := heap.Pop(&e.q).(event)
-		if ev.at > e.cfg.Duration {
-			break
-		}
-		e.now = ev.at
-		if !e.measuring && e.now >= e.cfg.Warmup {
-			e.measuring = true
-			e.actualAtWarm = make([]float64, e.cfg.N)
-			e.virtualAtWarm = make([]float64, e.cfg.N)
-			for i := range e.nodes {
-				e.accrue(i)
-				e.actualAtWarm[i] = e.nodes[i].actual
-				e.virtualAtWarm[i] = e.nodes[i].virtual
-			}
-		}
-		switch ev.kind {
-		case evTransition:
-			if ev.version != e.nodes[ev.node].version {
-				continue
-			}
-			e.transition(ev.node)
-		case evPacketEnd:
-			if ev.version != e.nodes[ev.node].version {
-				continue // transmitter crashed mid-packet; medium already released
-			}
-			e.packetEnd(ev.node)
-		case evPingEnd:
-			if ev.version != e.nodes[ev.node].version {
-				continue
-			}
-			e.pingEnd(ev.node)
-		case evFault:
-			e.fault(ev.node)
-		case evTick:
-			e.accrue(ev.node)
-			if e.nodes[ev.node].state != model.Transmit {
-				e.schedule(ev.node)
-			}
-			e.push(event{at: e.now + tau, kind: evTick, node: ev.node})
+	evq.Sort(e.faults)
+}
+
+// source names the event source holding the earliest event.
+type source uint8
+
+const (
+	fromTick source = iota
+	fromPending
+	fromFault
+)
+
+// head returns the earliest event key across the three sources and the
+// source it comes from. The tick cursor always has a next tick, so there
+// always is a head.
+func (e *engine) head() (at float64, seq uint64, src source) {
+	at, seq, src = e.tickAt, e.tickSeq[e.tickNext], fromTick
+	if e.pending.Len() > 0 {
+		if k := e.pending.Min(); evq.Less(k.At, k.Seq, at, seq) {
+			at, seq, src = k.At, k.Seq, fromPending
 		}
 	}
+	if e.faultNext < len(e.faults) {
+		if k := &e.faults[e.faultNext]; evq.Less(k.At, k.Seq, at, seq) {
+			at, seq, src = k.At, k.Seq, fromFault
+		}
+	}
+	return at, seq, src
+}
+
+// step dispatches the earliest event. It returns false, dispatching
+// nothing, once that event lies past the horizon.
+func (e *engine) step() bool {
+	at, seq, src := e.head()
+	if at > e.cfg.Duration {
+		return false
+	}
+	i := e.pending.Node(seq)
+	e.clock(at)
+	switch src {
+	case fromTick:
+		if e.tickNext++; e.tickNext == len(e.nodes) {
+			e.tickNext = 0
+			e.tickAt += tau
+		}
+		e.accrue(i)
+		if e.nodes[i].state != model.Transmit {
+			e.schedule(i)
+		}
+		e.tickSeq[i] = e.nextSeq(i)
+	case fromFault:
+		e.faultNext++
+		e.fault(i)
+	case fromPending:
+		e.pending.Remove(i)
+		switch {
+		case e.nodes[i].state != model.Transmit:
+			e.transition(i)
+		case e.pinging:
+			e.pingEnd(i)
+		default:
+			e.packetEnd(i)
+		}
+	}
+	return true
+}
+
+// clock advances the clock to an event at time at. The first event at
+// or past Warmup snapshots every node's ledgers for the window.
+func (e *engine) clock(at float64) {
+	e.now = at
+	if e.measuring || e.now < e.cfg.Warmup {
+		return
+	}
+	e.measuring = true
+	e.actualAtWarm = make([]float64, e.cfg.N)
+	e.virtualAtWarm = make([]float64, e.cfg.N)
+	for i := range e.nodes {
+		e.accrue(i)
+		e.actualAtWarm[i] = e.nodes[i].actual
+		e.virtualAtWarm[i] = e.nodes[i].virtual
+	}
+}
+
+// drain accrues every node to the horizon.
+func (e *engine) drain() {
 	e.now = e.cfg.Duration
 	for i := range e.nodes {
 		e.accrue(i)
@@ -399,7 +461,6 @@ func (e *engine) transition(i int) {
 // beginPacket starts a 40 ms data packet from node i.
 func (e *engine) beginPacket(i int) {
 	e.nodes[i].state = model.Transmit
-	e.nodes[i].version++
 	wasIdle := e.transmitter < 0
 	e.transmitter = i
 	e.listeners = e.listeners[:0]
@@ -417,7 +478,8 @@ func (e *engine) beginPacket(i int) {
 			}
 		}
 	}
-	e.push(event{at: e.now + packetTime, kind: evPacketEnd, node: i, version: e.nodes[i].version})
+	e.pinging = false
+	e.pending.Set(i, e.now+packetTime, e.nextSeq(i))
 }
 
 // fault handles a fault-schedule boundary for node i: crash edges park or
@@ -427,12 +489,12 @@ func (e *engine) fault(i int) {
 	e.accrue(i)
 	ns := &e.nodes[i]
 	if !e.flt.Alive(i, e.now) {
-		switch ns.state {
-		case model.Transmit:
-			// The transmitter died mid-hold: release the medium. The
-			// version bump strands its pending packet/ping-end events.
-			ns.state = model.Sleep
-			ns.version++
+		// A crash parks the node asleep and cancels its pending event.
+		wasTransmitting := ns.state == model.Transmit
+		ns.state = model.Sleep
+		e.pending.Remove(i)
+		if wasTransmitting {
+			// The transmitter died mid-hold: release the medium.
 			e.transmitter = -1
 			e.listeners = e.listeners[:0]
 			for j := range e.nodes {
@@ -441,11 +503,6 @@ func (e *engine) fault(i int) {
 					e.schedule(j)
 				}
 			}
-		case model.Listen:
-			ns.state = model.Sleep
-			ns.version++
-		default:
-			ns.version++ // already asleep; just strand pending wake-ups
 		}
 		return
 	}
@@ -478,7 +535,8 @@ func (e *engine) packetEnd(i int) {
 		e.met.PacketsDelivered += success
 		e.met.Groupput += float64(success) * packetTime
 	}
-	e.push(event{at: e.now + pingInterval, kind: evPingEnd, node: i, version: e.nodes[i].version})
+	e.pinging = true
+	e.pending.Set(i, e.now+pingInterval, e.nextSeq(i))
 }
 
 // pingEnd closes the pinging interval: place each recipient's 0.4 ms ping
@@ -550,7 +608,8 @@ func (e *engine) pingEnd(i int) {
 				e.listeners = append(e.listeners, j)
 			}
 		}
-		e.push(event{at: e.now + packetTime, kind: evPacketEnd, node: i, version: ns.version})
+		e.pinging = false
+		e.pending.Set(i, e.now+packetTime, e.nextSeq(i))
 		return
 	}
 	ns.state = model.Listen
