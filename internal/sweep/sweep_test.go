@@ -106,26 +106,39 @@ func TestFirstErrorWins(t *testing.T) {
 
 // TestErrorStopsDispatch: after a failure, undispatched cells are
 // skipped (the pool does not grind through the whole grid), while every
-// dispatched cell drains.
+// dispatched cell drains. A serial pool stops right after the failing
+// cell. A wider pool stops once the failing worker records its error;
+// until then the other workers keep claiming cells, so the cells past
+// the failure take 100 µs each: with no-op cells, three workers can
+// exhaust the grid in the microseconds that recording takes.
 func TestErrorStopsDispatch(t *testing.T) {
 	const n = 10000
-	var ran atomic.Int64
-	cells := make([]Cell[int], n)
-	for i := range cells {
-		i := i
-		cells[i] = func() (int, error) {
-			ran.Add(1)
-			if i == 5 {
-				return 0, errors.New("boom")
+	for _, workers := range []int{1, 4} {
+		var ran atomic.Int64
+		cells := make([]Cell[int], n)
+		for i := range cells {
+			i := i
+			cells[i] = func() (int, error) {
+				ran.Add(1)
+				switch {
+				case i == 5:
+					return 0, errors.New("boom")
+				case i > 5:
+					time.Sleep(100 * time.Microsecond)
+				}
+				return i, nil
 			}
-			return i, nil
 		}
-	}
-	if _, err := Run(4, cells); err == nil {
-		t.Fatal("expected an error")
-	}
-	if got := ran.Load(); got >= n {
-		t.Fatalf("all %d cells ran despite an early failure", got)
+		if _, err := Run(workers, cells); err == nil {
+			t.Fatalf("workers=%d: expected an error", workers)
+		}
+		got := ran.Load()
+		if workers == 1 && got != 6 {
+			t.Fatalf("serial pool ran %d cells, want 6 (cells 0..5)", got)
+		}
+		if got >= n {
+			t.Fatalf("workers=%d: all %d cells ran despite an early failure", workers, got)
+		}
 	}
 }
 

@@ -102,3 +102,54 @@ func TestTestbedGolden(t *testing.T) {
 		})
 	}
 }
+
+// goldenConfig returns the config of the named golden case.
+func goldenConfig(t *testing.T, name string) Config {
+	t.Helper()
+	for _, tc := range goldenCases() {
+		if tc.name == name {
+			return tc.cfg
+		}
+	}
+	t.Fatalf("no golden case %q", name)
+	return Config{}
+}
+
+// sameSeedTwice runs cfg twice in one process and fails unless both runs
+// make progress and agree byte for byte, ping histogram included.
+func sameSeedTwice(t *testing.T, cfg Config) {
+	t.Helper()
+	var digests [2]string
+	for k := range digests {
+		m, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.PacketsSent <= 0 {
+			t.Fatal("the emulated testbed made no progress")
+		}
+		digests[k] = goldenDigest(t, m)
+	}
+	if digests[0] != digests[1] {
+		t.Fatalf("same seed, different testbed metrics: %s vs %s", digests[0], digests[1])
+	}
+}
+
+// TestDeterminism: the base clique reproduces for a fixed seed.
+func TestDeterminism(t *testing.T) {
+	sameSeedTwice(t, goldenConfig(t, "base"))
+}
+
+// TestRaceStressLargeClique runs the 16-node stress case so that
+// `go test -race` covers this package at the same clique scale as the
+// asim broker stress test. The emulator itself is one event loop on one
+// goroutine (econlint's rawgoroutine forbids goroutines here).
+func TestRaceStressLargeClique(t *testing.T) {
+	sameSeedTwice(t, goldenConfig(t, "stress-16"))
+}
+
+// TestFaultSharedProcessesDeterministic: runs under the full fault mix
+// reproduce for a fixed seed.
+func TestFaultSharedProcessesDeterministic(t *testing.T) {
+	sameSeedTwice(t, goldenConfig(t, "fault-mix"))
+}
