@@ -1,55 +1,28 @@
 // Econlint runs the project's determinism & correctness analyzers
-// (internal/lint) over package patterns and reports findings as
-// "file:line: [analyzer] message". It exits 1 when any finding survives
-// suppression, 2 on usage or load errors.
+// (internal/lint) over package patterns and reports each finding as
+// "file:line:col: [analyzer] message", with the file relative to the
+// working directory when it lies under it. Every run also audits the
+// suppression directives: a //lint:allow or //lint:ordered that no
+// longer holds back a finding is reported as [stale-suppression], and
+// one that gives no reason as [unjustified-suppression]. It exits 1 when
+// anything is reported, 2 on usage or load errors.
 //
 // Usage:
 //
-//	econlint [-list] [-only name,name] [-as importpath] [-parallel n]
-//	         [-json] [-sarif] [-baseline file [-write-baseline]]
-//	         [-fix] [-diff [-check]] [-audit-suppressions] [packages]
+//	econlint [-list] [-as importpath] [packages]
 //
 // Patterns default to ./... and support the usual dir and dir/... forms.
 // The -as flag checks a single directory under an assumed import path,
 // which is how the fixture packages under internal/lint/testdata are
 // placed into deterministic packages without living there.
-//
-// -parallel n type-checks and analyzes packages on n workers (0 means
-// GOMAXPROCS); output is byte-identical for every worker count. -json
-// replaces the text report with a JSON array of findings whose paths are
-// slash-separated and repo-relative, suitable for artifacts and diffing.
-// -sarif replaces it with a SARIF 2.1.0 log instead, which is what CI
-// uploads so findings annotate pull-request diffs.
-//
-// -baseline file compares findings against a committed snapshot and
-// fails only on NEW ones (matched line-insensitively on file, analyzer,
-// and message, so unrelated edits don't churn the gate); with
-// -write-baseline the current findings are written to the file instead.
-// -audit-suppressions inverts the gate: it runs the full analyzer suite
-// with suppressions disabled and reports every //lint:allow or
-// //lint:ordered directive that no longer matches a finding, so stale
-// exemptions cannot accumulate — and every directive still carrying the
-// generated "TODO: justify" stub, so the suppression autofix cannot
-// become a permanent exemption without a human writing the reason.
-//
-// -fix applies the machine-applicable suggested edits attached to
-// findings (non-overlapping, first finding wins) and rewrites the
-// affected files in place; -diff prints the same edits as a unified
-// diff without touching anything. Both exit 0 by default: the edits,
-// applied or previewed, are the deliverable. -check turns -diff into a
-// gate that exits 1 while any suggested fix is outstanding, which is
-// how CI refuses mechanical debt that `econlint -fix` would clear.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
 
 	"econcast/internal/lint"
@@ -59,39 +32,11 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonFinding is the stable wire form of one finding. File is
-// slash-separated and relative to the working directory when the finding
-// lies under it, so baselines and artifacts are machine-independent.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// key is the baseline identity of a finding: file, analyzer, and message
-// but not line/column, so findings don't churn when unrelated edits move
-// code around.
-func (f jsonFinding) key() string {
-	return f.File + "\x00" + f.Analyzer + "\x00" + f.Message
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("econlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
-	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	asPath := fs.String("as", "", "check a single directory under this assumed import path")
-	parallel := fs.Int("parallel", 0, "worker count for loading and checking (0 = GOMAXPROCS)")
-	jsonOut := fs.Bool("json", false, "report findings as a JSON array instead of text")
-	sarifOut := fs.Bool("sarif", false, "report findings as a SARIF 2.1.0 log instead of text")
-	baseline := fs.String("baseline", "", "compare findings against this JSON baseline; fail only on new ones")
-	writeBaseline := fs.Bool("write-baseline", false, "write current findings to the -baseline file and exit")
-	audit := fs.Bool("audit-suppressions", false, "report suppression directives that no longer match any finding")
-	applyFix := fs.Bool("fix", false, "apply suggested fixes to the source files in place")
-	diffFix := fs.Bool("diff", false, "print suggested fixes as a unified diff without applying them")
-	check := fs.Bool("check", false, "with -diff: exit 1 while any suggested fix is outstanding")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -102,43 +47,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *writeBaseline && *baseline == "" {
-		fmt.Fprintln(stderr, "econlint: -write-baseline requires -baseline <file>")
-		return 2
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "econlint: -json and -sarif are mutually exclusive")
-		return 2
-	}
-	if (*applyFix || *diffFix) && (*baseline != "" || *audit) {
-		fmt.Fprintln(stderr, "econlint: -fix/-diff cannot be combined with -baseline or -audit-suppressions")
-		return 2
-	}
-	if *check && !*diffFix {
-		fmt.Fprintln(stderr, "econlint: -check requires -diff")
-		return 2
-	}
-
-	analyzers := lint.All()
-	if *only != "" {
-		analyzers = nil
-		for _, name := range strings.Split(*only, ",") {
-			a := lint.ByName(strings.TrimSpace(name))
-			if a == nil {
-				fmt.Fprintf(stderr, "econlint: unknown analyzer %q (try -list)\n", name)
-				return 2
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
 
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 
 	loader, err := lint.NewLoader(".")
@@ -160,235 +72,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		pkgs = []*lint.Package{pkg}
 	} else {
-		pkgs, err = loader.LoadParallel(workers, patterns...)
+		pkgs, err = loader.Load(patterns...)
 		if err != nil {
 			fmt.Fprintf(stderr, "econlint: %v\n", err)
 			return 2
 		}
 	}
 
-	var findings []lint.Finding
-	if *audit {
-		// Auditing always runs the full suite: a directive naming an
-		// analyzer excluded by -only would be reported stale spuriously.
-		findings, err = lint.AuditSuppressions(workers, pkgs, lint.All())
-	} else {
-		findings, err = lint.CheckParallel(workers, pkgs, analyzers)
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "econlint: %v\n", err)
-		return 2
-	}
-
-	if *applyFix || *diffFix {
-		return runFixes(findings, *applyFix, *check, stdout, stderr)
-	}
-
-	report := relativize(findings)
-
-	if *writeBaseline {
-		data, err := marshalFindings(report)
-		if err != nil {
-			fmt.Fprintf(stderr, "econlint: %v\n", err)
-			return 2
-		}
-		if err := os.WriteFile(*baseline, data, 0o644); err != nil {
-			fmt.Fprintf(stderr, "econlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "econlint: wrote %d finding(s) to %s\n", len(report), *baseline)
-		return 0
-	}
-
-	if *baseline != "" {
-		known, err := readBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "econlint: %v\n", err)
-			return 2
-		}
-		fresh := subtractBaseline(report, known)
-		if err := emit(stdout, fresh, outputFormat(*jsonOut, *sarifOut)); err != nil {
-			fmt.Fprintf(stderr, "econlint: %v\n", err)
-			return 2
-		}
-		if len(fresh) > 0 {
-			fmt.Fprintf(stderr, "econlint: %d new finding(s) not in baseline %s (%d total, %d baselined)\n",
-				len(fresh), *baseline, len(report), len(report)-len(fresh))
-			return 1
-		}
-		return 0
-	}
-
-	if err := emit(stdout, report, outputFormat(*jsonOut, *sarifOut)); err != nil {
-		fmt.Fprintf(stderr, "econlint: %v\n", err)
-		return 2
-	}
-	if len(report) > 0 {
-		fmt.Fprintf(stderr, "econlint: %d finding(s) in %d package(s)\n", len(report), len(pkgs))
-		return 1
-	}
-	return 0
-}
-
-// relativize converts findings to the wire form, rewriting absolute
-// positions under the working directory to slash-separated relative
-// paths. Findings arrive sorted from internal/lint and the rewrite is
-// order-preserving, so the report is byte-identical at every -parallel.
-func relativize(findings []lint.Finding) []jsonFinding {
+	findings := lint.Check(pkgs, lint.All())
+	audit := lint.AuditSuppressions(pkgs, lint.All())
 	cwd, _ := os.Getwd()
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
+	for _, f := range append(findings, audit...) {
 		file := f.Pos.Filename
-		if cwd != "" {
-			if rel, err := filepath.Rel(cwd, file); err == nil && !strings.HasPrefix(rel, "..") {
-				file = rel
-			}
+		if rel, err := filepath.Rel(cwd, file); cwd != "" && err == nil && !strings.HasPrefix(rel, "..") {
+			file = rel
 		}
-		out = append(out, jsonFinding{
-			File:     filepath.ToSlash(file),
-			Line:     f.Pos.Line,
-			Col:      f.Pos.Column,
-			Analyzer: f.Analyzer,
-			Message:  f.Message,
-		})
-	}
-	return out
-}
-
-type format int
-
-const (
-	formatText format = iota
-	formatJSON
-	formatSARIF
-)
-
-func outputFormat(jsonOut, sarifOut bool) format {
-	switch {
-	case jsonOut:
-		return formatJSON
-	case sarifOut:
-		return formatSARIF
-	}
-	return formatText
-}
-
-// emit writes findings as text lines, a JSON array, or a SARIF log. The
-// JSON form is always a valid array ("[]" when clean) and the SARIF form
-// always carries the full rule table, so consumers never special-case
-// the empty report.
-func emit(w io.Writer, findings []jsonFinding, f format) error {
-	switch f {
-	case formatJSON:
-		data, err := marshalFindings(findings)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "%s\n", data)
-		return err
-	case formatSARIF:
-		data, err := marshalSarif(findings)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "%s\n", data)
-		return err
-	}
-	for _, f := range findings {
-		if _, err := fmt.Fprintf(w, "%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runFixes plans the suggested edits attached to findings and either
-// applies them in place (-fix) or prints them as a unified diff (-diff).
-// Paths in the diff header are relativized like report paths; the writes
-// use the absolute paths the loader recorded. In check mode the dry run
-// becomes a gate: outstanding fixes exit 1.
-func runFixes(findings []lint.Finding, apply, check bool, stdout, stderr io.Writer) int {
-	plan, err := lint.PlanFixes(findings)
-	if err != nil {
-		fmt.Fprintf(stderr, "econlint: %v\n", err)
-		return 2
-	}
-	if apply {
-		if err := plan.WriteFixes(); err != nil {
+		if _, err := fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", filepath.ToSlash(file), f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message); err != nil {
 			fmt.Fprintf(stderr, "econlint: %v\n", err)
 			return 2
 		}
-		fmt.Fprintf(stderr, "econlint: applied %d fix(es) across %d file(s), %d skipped\n",
-			plan.Applied, len(plan.Contents), plan.Skipped)
-		return 0
 	}
-	cwd, _ := os.Getwd()
-	files := make([]string, 0, len(plan.Contents))
-	for path := range plan.Contents {
-		files = append(files, path)
-	}
-	sort.Strings(files)
-	for _, path := range files {
-		old, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(stderr, "econlint: %v\n", err)
-			return 2
-		}
-		label := path
-		if cwd != "" {
-			if rel, err := filepath.Rel(cwd, path); err == nil && !strings.HasPrefix(rel, "..") {
-				label = filepath.ToSlash(rel)
-			}
-		}
-		fmt.Fprint(stdout, lint.UnifiedDiff(label, old, plan.Contents[path]))
-	}
-	fmt.Fprintf(stderr, "econlint: %d fix(es) across %d file(s) available, %d skipped (dry run)\n",
-		plan.Applied, len(plan.Contents), plan.Skipped)
-	if check && plan.Applied > 0 {
-		fmt.Fprintln(stderr, "econlint: outstanding suggested fixes; run `econlint -fix` and fill in the justifications")
+	if len(findings)+len(audit) > 0 {
+		fmt.Fprintf(stderr, "econlint: %d finding(s) and %d suppression problem(s) in %d package(s)\n",
+			len(findings), len(audit), len(pkgs))
 		return 1
 	}
 	return 0
-}
-
-func marshalFindings(findings []jsonFinding) ([]byte, error) {
-	if findings == nil {
-		findings = []jsonFinding{}
-	}
-	return json.MarshalIndent(findings, "", "  ")
-}
-
-func readBaseline(path string) ([]jsonFinding, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("baseline %s not found; run with -baseline %s -write-baseline to create it", path, path)
-		}
-		return nil, fmt.Errorf("baseline %s: %v", path, err)
-	}
-	var findings []jsonFinding
-	if err := json.Unmarshal(data, &findings); err != nil {
-		return nil, fmt.Errorf("baseline %s is corrupt (%v); re-run with -write-baseline to regenerate it", path, err)
-	}
-	return findings, nil
-}
-
-// subtractBaseline removes findings matched by the baseline, multiset-
-// style: a baseline entry absorbs at most one finding with the same
-// (file, analyzer, message), so a regression that duplicates a baselined
-// finding still fails the gate.
-func subtractBaseline(findings, baseline []jsonFinding) []jsonFinding {
-	credit := make(map[string]int, len(baseline))
-	for _, f := range baseline {
-		credit[f.key()]++
-	}
-	var fresh []jsonFinding
-	for _, f := range findings {
-		if k := f.key(); credit[k] > 0 {
-			credit[k]--
-			continue
-		}
-		fresh = append(fresh, f)
-	}
-	return fresh
 }

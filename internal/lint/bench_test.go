@@ -1,34 +1,24 @@
 package lint
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
-// BenchmarkLoadCheckRepo measures the full econlint pipeline — pattern
-// expansion, parallel parse, serialized type-check, and the analyzer
-// sweep — over the whole module at the worker counts the CI gate runs
-// with. Each iteration builds a fresh Loader so nothing is served from
-// the package cache; the spread between worker counts shows how much of
-// the wall-clock is the parallel parse/analyze fan-out versus the
-// type-checking critical section.
+// BenchmarkLoadCheckRepo measures one econlint run over the whole
+// module: pattern expansion, parse, type-check (the standard library
+// included, from source) and the full analyzer suite, followed by the
+// suppression audit. Each iteration builds a fresh Loader so nothing is
+// served from the package cache.
 func BenchmarkLoadCheckRepo(b *testing.B) {
-	for _, workers := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				loader, err := NewLoader(".")
-				if err != nil {
-					b.Fatal(err)
-				}
-				pkgs, err := loader.LoadParallel(workers, loader.Root()+"/...")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := CheckParallel(workers, pkgs, All()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		loader, err := NewLoader(".")
+		if err != nil {
+			b.Fatal(err)
+		}
+		pkgs, err := loader.Load(loader.Root() + "/...")
+		if err != nil {
+			b.Fatal(err)
+		}
+		Check(pkgs, All())
+		AuditSuppressions(pkgs, All())
 	}
 }

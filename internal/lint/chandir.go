@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -63,28 +62,19 @@ var ChanDir = &Analyzer{
 				case *ast.StructType:
 					for _, field := range n.Fields.List {
 						if hasBidirChan(p.Info.TypeOf(field.Type), 0) {
-							fix := chanDirFix(p, field)
-							if fix == nil {
-								fix = suppressionFix(p, field.Pos(), "chandir", "TODO: justify the bidirectional channel")
-							}
-							p.ReportfFix(field.Pos(), fix, "struct field %s holds a bidirectional channel; declare chan<- or <-chan so the request-reply roles are type-enforced", fieldNames(field))
+							p.Reportf(field.Pos(), "struct field %s holds a bidirectional channel; declare chan<- or <-chan so the request-reply roles are type-enforced", fieldNames(field))
 						}
 					}
 				case *ast.FuncDecl:
 					for _, param := range n.Type.Params.List {
 						if hasBidirChan(p.Info.TypeOf(param.Type), 0) {
-							fix := chanDirFix(p, param)
-							if fix == nil {
-								fix = suppressionFix(p, param.Pos(), "chandir", "TODO: justify the bidirectional channel")
-							}
-							p.ReportfFix(param.Pos(), fix, "parameter %s of %s holds a bidirectional channel; declare chan<- or <-chan so the caller's role is type-enforced", fieldNames(param), n.Name.Name)
+							p.Reportf(param.Pos(), "parameter %s of %s holds a bidirectional channel; declare chan<- or <-chan so the caller's role is type-enforced", fieldNames(param), n.Name.Name)
 						}
 					}
 					if n.Body != nil && !chanDirLicensed(n, licensed) {
 						ast.Inspect(n.Body, func(m ast.Node) bool {
 							if sel, ok := m.(*ast.SelectStmt); ok {
-								fix := suppressionFix(p, sel.Pos(), "chandir", "TODO: justify multiplexing outside the licensed loops")
-								p.ReportfFix(sel.Pos(), fix, "select outside the licensed event loops breaks the request-reply lockstep; move the multiplexing into them or restructure as blocking request/reply")
+								p.Reportf(sel.Pos(), "select outside the licensed event loops breaks the request-reply lockstep; move the multiplexing into them or restructure as blocking request/reply")
 							}
 							return true
 						})
@@ -94,114 +84,6 @@ var ChanDir = &Analyzer{
 			})
 		}
 	},
-}
-
-// chanDirFix proposes inserting the direction a flagged bidirectional
-// channel field or parameter is actually used in: one only ever sent on
-// (or closed) becomes chan<-, one only received from becomes <-chan.
-// When the role is not provable from this package alone — uses in both
-// directions, the channel passed along whole, or no uses at all — there
-// is no fix and the caller falls back to a suppression stub. Only
-// single-name declarations whose type is literally `chan T` qualify;
-// channels nested in slices or maps need a human.
-func chanDirFix(p *Pass, field *ast.Field) *Fix {
-	ch, ok := field.Type.(*ast.ChanType)
-	if !ok || ch.Dir != ast.SEND|ast.RECV || len(field.Names) != 1 {
-		return nil
-	}
-	obj := p.Info.Defs[field.Names[0]]
-	if obj == nil {
-		return nil
-	}
-	sends, recvs, proven := chanUses(p, obj)
-	if !proven || (sends > 0) == (recvs > 0) {
-		return nil
-	}
-	tf := p.Fset.File(ch.Pos())
-	if tf == nil {
-		return nil
-	}
-	// The bidirectional type reads "chan T": prepending "<-" yields the
-	// receive side, inserting it after the keyword yields the send side.
-	off := tf.Offset(ch.Begin)
-	msg := "declare the receive-only role: <-chan"
-	if sends > 0 {
-		off += len("chan")
-		msg = "declare the send-only role: chan<-"
-	}
-	return &Fix{
-		Message: msg,
-		Edits:   []TextEdit{{File: tf.Name(), Start: off, End: off, New: "<-"}},
-	}
-}
-
-// chanUses classifies every use of a channel-typed object across the
-// package: sends (including close), receives (<-ch, range ch), and
-// direction-neutral stores into the object (assignment targets,
-// composite-literal keys), which stay legal once a direction is
-// declared. proven is false when any use escapes this classification —
-// e.g. the whole channel passed to a callee — because then the role
-// cannot be established from this package.
-func chanUses(p *Pass, obj types.Object) (sends, recvs int, proven bool) {
-	classified := make(map[*ast.Ident]bool)
-	mark := func(e ast.Expr) bool {
-		switch e := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			if p.Info.Uses[e] == obj {
-				classified[e] = true
-				return true
-			}
-		case *ast.SelectorExpr:
-			if p.Info.Uses[e.Sel] == obj {
-				classified[e.Sel] = true
-				return true
-			}
-		}
-		return false
-	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SendStmt:
-				if mark(n.Chan) {
-					sends++
-				}
-			case *ast.UnaryExpr:
-				if n.Op == token.ARROW && mark(n.X) {
-					recvs++
-				}
-			case *ast.RangeStmt:
-				if mark(n.X) {
-					recvs++
-				}
-			case *ast.CallExpr:
-				if id, isIdent := ast.Unparen(n.Fun).(*ast.Ident); isIdent && len(n.Args) == 1 {
-					if b, isBuiltin := p.Info.Uses[id].(*types.Builtin); isBuiltin && b.Name() == "close" && mark(n.Args[0]) {
-						sends++
-					}
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					mark(lhs)
-				}
-			case *ast.KeyValueExpr:
-				if k, isIdent := n.Key.(*ast.Ident); isIdent && p.Info.Uses[k] == obj {
-					classified[k] = true
-				}
-			}
-			return true
-		})
-	}
-	proven = true
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, isIdent := n.(*ast.Ident); isIdent && p.Info.Uses[id] == obj && !classified[id] {
-				proven = false
-			}
-			return true
-		})
-	}
-	return sends, recvs, proven
 }
 
 // chanDirLicensed reports whether fd is one of the package's licensed

@@ -23,7 +23,6 @@ var FloatEq = &Analyzer{
 	Doc:  "exact ==/!= between floating-point values",
 	Run: func(p *Pass) {
 		for _, f := range p.Files {
-			statsName := statsImportName(f)
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if ok && isEpsilonHelper(fd.Name.Name) {
@@ -42,61 +41,12 @@ var FloatEq = &Analyzer{
 					if p.Info.Types[be.X].Value != nil && p.Info.Types[be.Y].Value != nil {
 						return true
 					}
-					fix := approxFix(p, statsName, be)
-					if fix == nil {
-						fix = suppressionFix(p, be.Pos(), "floateq", "TODO: justify this exact comparison")
-					}
-					p.ReportfFix(be.Pos(), fix, "exact float comparison (%s); use a tolerance helper, or //lint:allow floateq if exactness is intended", be.Op)
+					p.Reportf(be.Pos(), "exact float comparison (%s); use a tolerance helper, or //lint:allow floateq if exactness is intended", be.Op)
 					return true
 				})
 			}
 		}
 	},
-}
-
-// approxFix rewrites `x == y` into statsName.ApproxEqual(x, y, 1e-9)
-// (negated for !=) when the file already imports internal/stats. The
-// three edits wrap the operands where they sit, so no operand text needs
-// re-rendering, and the call is atomic — safe inside any larger
-// expression.
-func approxFix(p *Pass, statsName string, be *ast.BinaryExpr) *Fix {
-	if statsName == "" {
-		return nil
-	}
-	tf := p.Fset.File(be.Pos())
-	if tf == nil {
-		return nil
-	}
-	call := statsName + ".ApproxEqual("
-	if be.Op == token.NEQ {
-		call = "!" + call
-	}
-	return &Fix{
-		Message: "compare within tolerance via " + statsName + ".ApproxEqual",
-		Edits: []TextEdit{
-			{File: tf.Name(), Start: tf.Offset(be.X.Pos()), End: tf.Offset(be.X.Pos()), New: call},
-			{File: tf.Name(), Start: tf.Offset(be.X.End()), End: tf.Offset(be.Y.Pos()), New: ", "},
-			{File: tf.Name(), Start: tf.Offset(be.Y.End()), End: tf.Offset(be.Y.End()), New: ", 1e-9)"},
-		},
-	}
-}
-
-// statsImportName returns the name under which f imports
-// econcast/internal/stats, or "" when it doesn't (blank and dot imports
-// included: neither yields a usable qualifier).
-func statsImportName(f *ast.File) string {
-	for _, imp := range f.Imports {
-		if imp.Path.Value != `"econcast/internal/stats"` {
-			continue
-		}
-		if imp.Name == nil {
-			return "stats"
-		}
-		if n := imp.Name.Name; n != "_" && n != "." {
-			return n
-		}
-	}
-	return ""
 }
 
 func isEpsilonHelper(name string) bool {

@@ -2,8 +2,8 @@
 // control-flow graph over go/ast function bodies plus the classic
 // analyses the suite's flow-sensitive analyzers are built on — reaching
 // definitions (path-sensitive seedflow, loop-invariance for hotalloc's
-// hoist fix), liveness, and a small escape lattice (hotalloc's
-// per-iteration allocation check).
+// hoistable makes) and a small escape lattice (hotalloc's per-iteration
+// allocation check).
 //
 // Like the rest of econlint, the package is standard library only. The
 // graph is deliberately syntactic: basic blocks hold the statements (and

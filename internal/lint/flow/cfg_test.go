@@ -337,36 +337,6 @@ func TestReachingLoopCarried(t *testing.T) {
 	}
 }
 
-func TestLiveness(t *testing.T) {
-	decl := `func f(n int) int {
-	x := 1
-	y := 2
-	if n > 0 {
-		return x
-	}
-	return y
-}`
-	src := "package p\n\n" + decl + "\n"
-	_, g, info, fset := buildFunc(t, decl)
-	l := Liveness(g, info)
-	x := findVar(t, info, "x")
-	y := findVar(t, info, "y")
-	cond := blockOfLine(t, g, fset, lineOf(t, src, "x := 1"))
-	if l.LiveIn(cond, x) {
-		t.Errorf("x is defined before any use in its own block: not upward-exposed")
-	}
-	if !l.LiveOut(cond, x) || !l.LiveOut(cond, y) {
-		t.Errorf("x and y must be live out of the defining block")
-	}
-	thenB := blockOfLine(t, g, fset, lineOf(t, src, "return x"))
-	if l.LiveOut(thenB, x) || l.LiveOut(thenB, y) {
-		t.Errorf("nothing is live after a return")
-	}
-	if !l.LiveIn(thenB, x) || l.LiveIn(thenB, y) {
-		t.Errorf("return x block: x live in, y not; got x=%v y=%v", l.LiveIn(thenB, x), l.LiveIn(thenB, y))
-	}
-}
-
 func TestEscapeLocalBuffer(t *testing.T) {
 	decl := `func f(n int) int {
 	total := 0

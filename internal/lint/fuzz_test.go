@@ -32,15 +32,20 @@ func FuzzParseDirectives(f *testing.F) {
 		"// plain comment, not a directive",
 		"//lint:",
 		"",
+		"//lint:allow floateq",
+		"//lint:allow floateq   ",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
 		d := parseDirective(text)
+		if d.Reason != strings.TrimSpace(d.Reason) {
+			t.Errorf("parseDirective(%q): untrimmed reason %q", text, d.Reason)
+		}
 		switch d.Kind {
 		case "":
-			if len(d.Names) != 0 || d.Domain != "" {
+			if len(d.Names) != 0 || d.Domain != "" || d.Reason != "" {
 				t.Errorf("parseDirective(%q): zero kind with payload %+v", text, d)
 			}
 		case "allow":
@@ -66,8 +71,8 @@ func FuzzParseDirectives(f *testing.F) {
 			if d.Domain == "" || strings.ContainsRune(d.Domain, ' ') {
 				t.Errorf("parseDirective(%q): malformed domain %q", text, d.Domain)
 			}
-			if len(d.Names) != 0 {
-				t.Errorf("parseDirective(%q): ownership directive carries names %v", text, d.Names)
+			if len(d.Names) != 0 || d.Reason != "" {
+				t.Errorf("parseDirective(%q): ownership directive carries names %v or reason %q", text, d.Names, d.Reason)
 			}
 			if !strings.HasPrefix(text, "//lint:"+d.Kind+" ") {
 				t.Errorf("parseDirective(%q): %s from mismatched text", text, d.Kind)

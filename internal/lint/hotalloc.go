@@ -1,12 +1,9 @@
 package lint
 
 import (
-	"bytes"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"econcast/internal/lint/flow"
 )
@@ -73,8 +70,8 @@ var hotEntries = map[string][]hotEntry{
 // analysis is flow-sensitive over internal/lint/flow — capturing
 // function literals, values boxed into empty interfaces at call sites,
 // and loop-invariant makes that provably do not escape their iteration,
-// which earn a "hoistable" finding with a machine-applicable fix for the
-// make([]T, 0, cap) shape. The event loops are required to be
+// which earn a "hoistable" finding whose hint names the x = x[:0] reslice
+// for the make([]T, 0, cap) shape. The event loops are required to be
 // allocation-free in steady state (see internal/sim/alloc_test.go); an
 // allocation that is genuinely one-time or amortized earns a per-line
 // `//lint:allow hotalloc <reason>`.
@@ -150,8 +147,8 @@ func checkHotFunc(p *Pass, fd *ast.FuncDecl) {
 				if b, ok := p.Info.Uses[id].(*types.Builtin); ok {
 					switch b.Name() {
 					case "make", "append":
-						if h, ok := hoist[n]; ok {
-							p.ReportfFix(n.Pos(), h.fix, "make in hot path %s is loop-invariant and does not escape its iteration; hoist it above the loop and reuse the buffer (%s)", fd.Name.Name, h.how)
+						if how, ok := hoist[n]; ok {
+							p.Reportf(n.Pos(), "make in hot path %s is loop-invariant and does not escape its iteration; hoist it above the loop and reuse the buffer (%s)", fd.Name.Name, how)
 						} else {
 							p.Reportf(n.Pos(), "%s in hot path %s; hoist the allocation out of the event loop or add //lint:allow hotalloc with a justification", b.Name(), fd.Name.Name)
 						}
@@ -287,21 +284,15 @@ func capturesVariables(p *Pass, lit *ast.FuncLit) bool {
 	return captures
 }
 
-// hoistableMake describes one loop-invariant, iteration-local make.
-type hoistableMake struct {
-	fix *Fix   // non-nil for the make([]T, 0, cap) shape
-	how string // human hint for the message
-}
-
 // hoistableMakes finds `x := make(...)` statements inside loops of fd
 // whose arguments are loop-invariant (every reaching definition of every
 // argument variable lies outside the loop) and whose result provably
-// does not escape its iteration. Those allocations can always be
-// replaced by a buffer reused across iterations; for the
-// make([]T, 0, cap) shape the rewrite is mechanical (hoist the make,
-// reslice to x[:0] in the loop) and returned as a fix.
-func hoistableMakes(p *Pass, fd *ast.FuncDecl) map[*ast.CallExpr]hoistableMake {
-	found := make(map[*ast.CallExpr]hoistableMake)
+// does not escape its iteration, each mapped to the reuse hint its
+// finding carries. Those allocations can always be replaced by a buffer
+// reused across iterations; for the make([]T, 0, cap) shape the reuse is
+// a reslice to x[:0] in the loop.
+func hoistableMakes(p *Pass, fd *ast.FuncDecl) map[*ast.CallExpr]string {
+	found := make(map[*ast.CallExpr]string)
 
 	// Innermost enclosing loop for every node of interest.
 	var g *flow.Graph
@@ -343,8 +334,8 @@ func hoistableMakes(p *Pass, fd *ast.FuncDecl) map[*ast.CallExpr]hoistableMake {
 				return true
 			}
 			loop := loops[len(loops)-1]
-			if h, call, ok := hoistableAssign(p, loop, n, &reach, build); ok {
-				found[call] = h
+			if how, call, ok := hoistableAssign(p, loop, n, &reach, build); ok {
+				found[call] = how
 			}
 		}
 		return true
@@ -354,25 +345,25 @@ func hoistableMakes(p *Pass, fd *ast.FuncDecl) map[*ast.CallExpr]hoistableMake {
 }
 
 // hoistableAssign decides whether one in-loop assignment is a hoistable
-// make.
-func hoistableAssign(p *Pass, loop ast.Node, as *ast.AssignStmt, reach **flow.Reach, build func()) (hoistableMake, *ast.CallExpr, bool) {
+// make, and if so returns its reuse hint.
+func hoistableAssign(p *Pass, loop ast.Node, as *ast.AssignStmt, reach **flow.Reach, build func()) (string, *ast.CallExpr, bool) {
 	if as.Tok != token.DEFINE || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-		return hoistableMake{}, nil, false
+		return "", nil, false
 	}
 	lhs, ok := as.Lhs[0].(*ast.Ident)
 	if !ok || lhs.Name == "_" {
-		return hoistableMake{}, nil, false
+		return "", nil, false
 	}
 	call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
 	if !ok {
-		return hoistableMake{}, nil, false
+		return "", nil, false
 	}
 	fun, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok {
-		return hoistableMake{}, nil, false
+		return "", nil, false
 	}
 	if b, ok := p.Info.Uses[fun].(*types.Builtin); !ok || b.Name() != "make" {
-		return hoistableMake{}, nil, false
+		return "", nil, false
 	}
 
 	build()
@@ -404,7 +395,7 @@ func hoistableAssign(p *Pass, loop ast.Node, as *ast.AssignStmt, reach **flow.Re
 			return true
 		})
 		if !invariant {
-			return hoistableMake{}, nil, false
+			return "", nil, false
 		}
 	}
 
@@ -413,19 +404,17 @@ func hoistableAssign(p *Pass, loop ast.Node, as *ast.AssignStmt, reach **flow.Re
 	// accumulator...).
 	v, ok := p.Info.Defs[lhs].(*types.Var)
 	if !ok {
-		return hoistableMake{}, nil, false
+		return "", nil, false
 	}
 	body := loopBody(loop)
 	if esc := flow.EscapesRegion(p.Info, body, v); esc.Class != flow.Local {
-		return hoistableMake{}, nil, false
+		return "", nil, false
 	}
 
-	h := hoistableMake{how: "reuse a preallocated buffer across iterations"}
-	if fix, ok := buildHoistFix(p, loop, as, call, lhs); ok {
-		h.fix = fix
-		h.how = "x = x[:0] each iteration"
+	if zeroLenSliceMake(p, call) {
+		return "x = x[:0] each iteration", call, true
 	}
-	return h, call, true
+	return "reuse a preallocated buffer across iterations", call, true
 }
 
 func loopBody(loop ast.Node) *ast.BlockStmt {
@@ -438,53 +427,18 @@ func loopBody(loop ast.Node) *ast.BlockStmt {
 	return nil
 }
 
-// buildHoistFix constructs the mechanical rewrite for the
-// make([]T, 0, cap) shape: hoist the definition above the loop and
-// replace the in-loop statement with a reslice.
-func buildHoistFix(p *Pass, loop ast.Node, as *ast.AssignStmt, call *ast.CallExpr, lhs *ast.Ident) (*Fix, bool) {
-	// Only a zero-length slice make is mechanically reusable: non-zero
-	// lengths rely on fresh zeroing, and maps need a clear loop.
+// zeroLenSliceMake reports whether call has the make([]T, 0, cap) shape,
+// the one a reslice can reuse: non-zero lengths rely on fresh zeroing,
+// and maps need a clear loop.
+func zeroLenSliceMake(p *Pass, call *ast.CallExpr) bool {
 	if len(call.Args) != 3 {
-		return nil, false
+		return false
 	}
 	if _, isSlice := p.Info.TypeOf(call).Underlying().(*types.Slice); !isSlice {
-		return nil, false
+		return false
 	}
 	ltv, ok := p.Info.Types[call.Args[1]]
-	if !ok || ltv.Value == nil || ltv.Value.String() != "0" {
-		return nil, false
-	}
-
-	tf := p.Fset.File(loop.Pos())
-	if tf == nil {
-		return nil, false
-	}
-	loopPos := p.Fset.Position(loop.Pos())
-
-	var rendered bytes.Buffer
-	if err := printer.Fprint(&rendered, p.Fset, as); err != nil {
-		return nil, false
-	}
-	indent := strings.Repeat("\t", loopPos.Column-1)
-
-	insertAt := tf.Offset(loop.Pos())
-	return &Fix{
-		Message: "hoist the make above the loop and reslice each iteration",
-		Edits: []TextEdit{
-			{
-				File:  tf.Name(),
-				Start: insertAt,
-				End:   insertAt,
-				New:   rendered.String() + "\n" + indent,
-			},
-			{
-				File:  tf.Name(),
-				Start: tf.Offset(as.Pos()),
-				End:   tf.Offset(as.End()),
-				New:   lhs.Name + " = " + lhs.Name + "[:0]",
-			},
-		},
-	}, true
+	return ok && ltv.Value != nil && ltv.Value.String() == "0"
 }
 
 // funcDecls indexes the package's function and method declarations with

@@ -57,8 +57,9 @@
 // insensitive. A trailing directive covers exactly its own line; a
 // standalone directive covers its own line and the next one. There is no
 // file- or package-wide escape hatch, and a directive that no longer
-// suppresses anything is itself reported by the suppression audit
-// (AuditSuppressions, `econlint -audit-suppressions`).
+// suppresses anything, or that gives no reason, is itself reported by the
+// suppression audit (AuditSuppressions), which every econlint run
+// includes.
 package lint
 
 import (
@@ -68,18 +69,13 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"econcast/internal/sweep"
 )
 
-// Finding is one analyzer report. Fixes, when non-empty, carries
-// machine-applicable edits that resolve the finding (see ApplyFixes);
-// they do not participate in sorting, rendering, or baseline identity.
+// Finding is one analyzer report.
 type Finding struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Fixes    []Fix
 }
 
 // String renders the canonical "file:line: [name] message" form.
@@ -120,33 +116,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportfFix records a finding at pos carrying a suggested fix. A nil
-// fix degrades to Reportf.
-func (p *Pass) ReportfFix(pos token.Pos, fix *Fix, format string, args ...any) {
-	f := Finding{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	}
-	if fix != nil {
-		f.Fixes = []Fix{*fix}
-	}
-	*p.findings = append(*p.findings, f)
-}
-
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{MapRange, WallClock, FloatEq, RawGoroutine, ErrDrop, HotAlloc, ChanDir, SeedFlow, SharedState, UnitFlow, ShardOwn}
-}
-
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // Check runs the analyzers over the packages, applies per-line
@@ -158,26 +130,6 @@ func Check(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	}
 	sortFindings(all)
 	return all
-}
-
-// CheckParallel is Check fanned out per package on the internal/sweep
-// pool. Analysis of one package is pure (it only reads the type-checked
-// ASTs) and the merged findings are fully sorted, so the output is
-// byte-identical to a serial run at any worker count. workers <= 0
-// selects GOMAXPROCS.
-func CheckParallel(workers int, pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	per, err := sweep.Map(workers, pkgs, func(i int, pkg *Package) ([]Finding, error) {
-		return checkPkg(pkg, analyzers), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var all []Finding
-	for _, fs := range per {
-		all = append(all, fs...)
-	}
-	sortFindings(all)
-	return all, nil
 }
 
 // checkPkg runs the analyzers over one package and applies its
@@ -242,34 +194,23 @@ func sortFindings(all []Finding) {
 const StaleSuppression = "stale-suppression"
 
 // UnjustifiedSuppression is the pseudo-analyzer name under which
-// AuditSuppressions reports directives still carrying the "TODO:
-// justify" stub that suppressionFix inserts: the autofix buys a clean
-// run, not a permanent exemption, and the audit fails until a human
-// replaces the stub with a real reason.
+// AuditSuppressions reports directives that give no reason: a finding is
+// silenced only at its line and with a reason a reviewer can weigh.
 const UnjustifiedSuppression = "unjustified-suppression"
-
-// justifyStub is the marker suppressionFix plants in generated
-// directives; its presence means nobody has written the justification.
-const justifyStub = "TODO: justify"
 
 // AuditSuppressions reruns the analyzers without applying suppressions
 // and reports every //lint: directive whose covered lines produce no
 // finding it names — dead weight that would silently mask a future
-// regression. Run it with the full suite: a directive naming an analyzer
-// that is not in the run set is indistinguishable from a stale one.
-func AuditSuppressions(workers int, pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	per, err := sweep.Map(workers, pkgs, func(i int, pkg *Package) ([]Finding, error) {
-		return auditPkg(pkg, analyzers), nil
-	})
-	if err != nil {
-		return nil, err
-	}
+// regression — and every live directive that gives no reason. Run it
+// with the full suite: a directive naming an analyzer that is not in the
+// run set is indistinguishable from a stale one.
+func AuditSuppressions(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var all []Finding
-	for _, fs := range per {
-		all = append(all, fs...)
+	for _, pkg := range pkgs {
+		all = append(all, auditPkg(pkg, analyzers)...)
 	}
 	sortFindings(all)
-	return all, nil
+	return all
 }
 
 func auditPkg(pkg *Package, analyzers []*Analyzer) []Finding {
@@ -294,11 +235,11 @@ func auditPkg(pkg *Package, analyzers []*Analyzer) []Finding {
 				Analyzer: StaleSuppression,
 				Message:  fmt.Sprintf("suppression %q no longer matches any finding; delete it", d.Text),
 			})
-		case strings.Contains(d.Text, justifyStub):
+		case d.Reason == "":
 			stale = append(stale, Finding{
 				Pos:      d.Pos,
 				Analyzer: UnjustifiedSuppression,
-				Message:  fmt.Sprintf("suppression %q still carries the generated %q stub; write the real justification", d.Text, justifyStub),
+				Message:  fmt.Sprintf("suppression %q gives no reason; say why the finding is acceptable", d.Text),
 			})
 		}
 	}
@@ -331,6 +272,7 @@ type Directive struct {
 	Pos        token.Position
 	Names      []string // analyzer names the directive allows
 	Standalone bool     // own-line comment: also covers the next line
+	Reason     string   // the text after the names, trimmed; "" when absent
 	Text       string   // the raw comment text
 }
 
@@ -339,6 +281,7 @@ type Directive struct {
 type directiveContent struct {
 	Kind   string   // "allow", "ordered", "owner", "handoff", or "" for non-directives
 	Names  []string // allow: analyzer names; ordered: the maprange alias
+	Reason string   // allow/ordered: the trimmed free-form reason, or ""
 	Domain string   // owner/handoff: the ownership domain
 }
 
@@ -354,9 +297,10 @@ func parseDirective(text string) directiveContent {
 	}
 	switch {
 	case body == "ordered" || strings.HasPrefix(body, "ordered "):
-		return directiveContent{Kind: "ordered", Names: []string{MapRange.Name}}
+		reason := strings.TrimSpace(strings.TrimPrefix(body, "ordered"))
+		return directiveContent{Kind: "ordered", Names: []string{MapRange.Name}, Reason: reason}
 	case strings.HasPrefix(body, "allow "):
-		list, _, _ := strings.Cut(strings.TrimPrefix(body, "allow "), " ")
+		list, reason, _ := strings.Cut(strings.TrimPrefix(body, "allow "), " ")
 		var names []string
 		for _, n := range strings.Split(list, ",") {
 			if n = strings.TrimSpace(n); n != "" {
@@ -366,7 +310,7 @@ func parseDirective(text string) directiveContent {
 		if len(names) == 0 {
 			return directiveContent{}
 		}
-		return directiveContent{Kind: "allow", Names: names}
+		return directiveContent{Kind: "allow", Names: names, Reason: strings.TrimSpace(reason)}
 	case strings.HasPrefix(body, "owner "), strings.HasPrefix(body, "handoff "):
 		kind, rest, _ := strings.Cut(body, " ")
 		domain := strings.TrimSpace(rest)
@@ -405,6 +349,7 @@ func directives(fset *token.FileSet, files []*ast.File) []Directive {
 					Pos:        pos,
 					Names:      d.Names,
 					Standalone: !code[pos.Line],
+					Reason:     d.Reason,
 					Text:       c.Text,
 				})
 			}

@@ -11,9 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
-
-	"econcast/internal/sweep"
 )
 
 // Package is one parsed and type-checked package ready for analysis.
@@ -36,13 +33,7 @@ type Package struct {
 // only the standard library. Imports within the module are resolved
 // recursively by the Loader itself; everything else (the standard
 // library) is type-checked from source via go/importer, so no compiled
-// export data is required.
-//
-// The Loader is safe for concurrent use through its exported methods:
-// parsing fans out lock-free (token.FileSet is synchronized), while
-// type-checking is serialized under an internal mutex because go/types
-// and the shared source importer mutate unsynchronized caches. See
-// LoadParallel.
+// export data is required. A Loader is not safe for concurrent use.
 type Loader struct {
 	Fset *token.FileSet
 
@@ -51,10 +42,6 @@ type Loader struct {
 	goVersion string // e.g. "go1.22", from go.mod; may be ""
 	std       types.Importer
 
-	// mu serializes type-checking and the package cache. Exported
-	// loaders take it; the unexported internals (including Import, which
-	// go/types calls back into mid-Check) assume it is held.
-	mu      sync.Mutex
 	pkgs    map[string]*Package // memoized module-internal packages
 	loading map[string]bool     // import-cycle guard
 	owners  *Owners             // //lint:owner and //lint:handoff annotations
@@ -115,9 +102,7 @@ func findModule(dir string) (root, module, goVersion string, err error) {
 func (l *Loader) Root() string { return l.root }
 
 // Import implements types.Importer: module-internal paths resolve through
-// the Loader, everything else through the source importer. It is called
-// by go/types during a Check the Loader initiated, so l.mu is already
-// held.
+// the Loader, everything else through the source importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == l.module || strings.HasPrefix(path, l.module+"/") {
 		pkg, err := l.loadPath(path)
@@ -129,7 +114,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.std.Import(path)
 }
 
-// loadPath loads a module-internal import path. l.mu must be held.
+// loadPath loads a module-internal import path.
 func (l *Loader) loadPath(path string) (*Package, error) {
 	if pkg, ok := l.pkgs[path]; ok {
 		return pkg, nil
@@ -138,14 +123,12 @@ func (l *Loader) loadPath(path string) (*Package, error) {
 		return nil, fmt.Errorf("lint: import cycle through %s", path)
 	}
 	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.module), "/")
-	return l.loadDir(filepath.Join(l.root, filepath.FromSlash(rel)), path, nil)
+	return l.loadDir(filepath.Join(l.root, filepath.FromSlash(rel)), path)
 }
 
 // parseDir parses the non-test Go files of dir into fset. Test files
 // (_test.go) are excluded: econlint guards the production sources; tests
-// are exercised by `go test -race` instead. parseDir takes no Loader
-// state and token.FileSet is synchronized, so it may run concurrently
-// with other parses and with type-checking.
+// are exercised by `go test -race` instead.
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -175,22 +158,18 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// loadDir type-checks the package in dir under import path asPath,
-// parsing it first unless pre-parsed files are supplied. l.mu must be
-// held.
-func (l *Loader) loadDir(dir, asPath string, files []*ast.File) (*Package, error) {
+// loadDir parses and type-checks the package in dir under import path
+// asPath.
+func (l *Loader) loadDir(dir, asPath string) (*Package, error) {
 	if pkg, ok := l.pkgs[asPath]; ok {
 		return pkg, nil
 	}
 	l.loading[asPath] = true
 	defer delete(l.loading, asPath)
 
-	if files == nil {
-		var err error
-		files, err = parseDir(l.Fset, dir)
-		if err != nil {
-			return nil, err
-		}
+	files, err := parseDir(l.Fset, dir)
+	if err != nil {
+		return nil, err
 	}
 
 	info := &types.Info{
@@ -207,8 +186,8 @@ func (l *Loader) loadDir(dir, asPath string, files []*ast.File) (*Package, error
 	}
 	pkg := &Package{Path: asPath, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info, Owners: l.owners}
 	l.pkgs[asPath] = pkg
-	// Collect ownership annotations while l.mu is held, so by the time
-	// analysis reads the table every loaded package — dependencies
+	// Collect ownership annotations as each package loads, so by the
+	// time analysis reads the table every loaded package — dependencies
 	// included — has contributed its annotations.
 	l.owners.scanPackage(pkg)
 	return pkg, nil
@@ -222,18 +201,28 @@ func (l *Loader) LoadDirAs(dir, asPath string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.loadDir(abs, asPath, nil)
+	return l.loadDir(abs, asPath)
 }
 
 // Load expands package patterns relative to the current directory and
-// loads them serially. Supported forms: "./...", "dir/...", "./dir",
+// loads them in expansion order. Supported forms: "./...", "dir/...", "./dir",
 // "dir". Directories named testdata or vendor, and hidden or
 // underscore-prefixed directories, are skipped, as are directories with
 // no non-test Go files.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	return l.LoadParallel(1, patterns...)
+	targets, err := l.expand(patterns...)
+	if err != nil {
+		return nil, err
+	}
+	pkgs := make([]*Package, 0, len(targets))
+	for _, t := range targets {
+		pkg, err := l.loadDir(t.abs, t.path)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
 }
 
 // target is one directory selected by pattern expansion.
@@ -244,7 +233,7 @@ type target struct {
 
 // expand resolves patterns to a deduplicated target list in a
 // deterministic order (pattern order, then WalkDir's lexical directory
-// order), independent of any worker count.
+// order).
 func (l *Loader) expand(patterns ...string) ([]target, error) {
 	var targets []target
 	seen := make(map[string]bool)
@@ -298,34 +287,6 @@ func (l *Loader) expand(patterns ...string) ([]target, error) {
 		}
 	}
 	return targets, nil
-}
-
-// LoadParallel expands the patterns, then loads the selected packages on
-// the internal/sweep pool: each cell parses its package's files without
-// holding the loader lock, then type-checks under it. Parsing fans out;
-// type-checking is serialized because go/types and the shared source
-// importer mutate unsynchronized caches. The returned slice is in
-// expansion order (sweep collects in cell index order), so the result —
-// and any output formatted from it — is identical at every worker count.
-// workers <= 0 selects GOMAXPROCS.
-func (l *Loader) LoadParallel(workers int, patterns ...string) ([]*Package, error) {
-	targets, err := l.expand(patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return sweep.Map(workers, targets, func(i int, t target) (*Package, error) {
-		// Pre-parse lock-free. If another cell already type-checked this
-		// package as a dependency, loadDir returns the cached Package and
-		// the duplicate ASTs are dropped; positions are per-parse, so
-		// either parse yields identical findings.
-		files, err := parseDir(l.Fset, t.abs)
-		if err != nil {
-			return nil, err
-		}
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return l.loadDir(t.abs, t.path, files)
-	})
 }
 
 // importPathFor maps an absolute directory inside the module to its

@@ -235,8 +235,7 @@ func checkShardFunc(p *Pass, fd *ast.FuncDecl) {
 			return
 		}
 		reported[pos] = true
-		fix := suppressionFix(p, pos, "shardown", "TODO: justify this domain crossing")
-		p.ReportfFix(pos, fix, format, args...)
+		p.Reportf(pos, format, args...)
 	}
 
 	// Rule 1: owned values crossing into goroutines.

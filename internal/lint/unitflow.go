@@ -82,8 +82,7 @@ func (u *uf) report(pos token.Pos, format string, args ...any) {
 		return
 	}
 	u.reported[pos] = true
-	fix := suppressionFix(u.p, pos, "unitflow", "TODO: justify this dimension mix")
-	u.p.ReportfFix(pos, fix, format, args...)
+	u.p.Reportf(pos, format, args...)
 }
 
 func (u *uf) checkFunc(fd *ast.FuncDecl) {

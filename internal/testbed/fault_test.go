@@ -40,19 +40,39 @@ func TestFaultKillHalf(t *testing.T) {
 	}
 }
 
-// TestFaultCrashMidHold pushes crash times to offsets that routinely land
-// inside a 40 ms packet or the 8 ms ping interval: the medium must be
-// released and the survivors keep transmitting.
+// TestFaultCrashMidHold crashes the transmitter mid-hold. At seed 1
+// node 0 is inside a 40 ms packet at 100.004 s and inside its 8 ms ping
+// interval at 248.4736 s, and node 1 is inside a packet at 395.33 s.
+// Each case steps the engine up to the crash and checks that it takes a
+// node in Transmit; once the crash instant has passed the medium must be
+// released, and the survivors keep transmitting.
 func TestFaultCrashMidHold(t *testing.T) {
-	for _, killAt := range []float64{100.004, 250.0301, 400.017} {
+	for _, killAt := range []float64{100.004, 248.4736, 395.33} {
 		c := baseCfg()
 		c.Duration, c.Warmup = 2000, 500
 		c.Faults = &faults.Config{Crash: &faults.Crash{Kill: []int{0, 1}, KillAt: killAt}}
-		m, err := Run(c)
+		e, err := newEngine(c)
 		if err != nil {
 			t.Fatalf("killAt=%v: %v", killAt, err)
 		}
-		if m.Groupput <= 0 {
+		e.start()
+		for at, _, _ := e.head(); at < killAt; at, _, _ = e.head() {
+			e.step()
+		}
+		tx := e.transmitter
+		if tx != 0 && tx != 1 || e.nodes[tx].state != model.Transmit {
+			t.Fatalf("killAt=%v: transmitter %d is not a killed node in Transmit", killAt, tx)
+		}
+		for at, _, _ := e.head(); at <= killAt; at, _, _ = e.head() {
+			e.step()
+		}
+		if e.transmitter == tx {
+			t.Fatalf("killAt=%v: crashed node %d still holds the medium", killAt, tx)
+		}
+		for e.step() {
+		}
+		e.drain()
+		if m := e.finish(); m.Groupput <= 0 {
 			t.Fatalf("killAt=%v: survivors delivered nothing", killAt)
 		}
 	}
