@@ -106,6 +106,8 @@ func TestFixtures(t *testing.T) {
 		{"hotalloc/faults-outside-hot-pkg", filepath.Join("hotalloc", "faults"), "econcast/internal/viz", HotAlloc, true},
 		{"hotalloc/evq-heap-tree", filepath.Join("hotalloc", "evq"), "econcast/internal/evq", HotAlloc, false},
 		{"hotalloc/evq-outside-hot-pkg", filepath.Join("hotalloc", "evq"), "econcast/internal/viz", HotAlloc, true},
+		{"hotalloc/shard-coordinator-tree", filepath.Join("hotalloc", "shard"), "econcast/internal/sim", HotAlloc, false},
+		{"hotalloc/shard-outside-hot-pkg", filepath.Join("hotalloc", "shard"), "econcast/internal/viz", HotAlloc, true},
 		{"hotalloc/flow-sensitive", filepath.Join("hotalloc", "flow"), "econcast/internal/sim", HotAlloc, false},
 		{"hotalloc/flow-outside-hot-pkg", filepath.Join("hotalloc", "flow"), "econcast/internal/viz", HotAlloc, true},
 		{"chandir", "chandir", "econcast/internal/asim", ChanDir, false},

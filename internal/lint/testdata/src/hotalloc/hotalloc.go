@@ -1,10 +1,8 @@
 // Package fixture exercises the hotalloc analyzer: loaded as
 // econcast/internal/sim, everything statically reachable from
-// (*coordinator).step is the event loop and may not allocate, while run,
-// which only drives step, and start, which seeds the event sources, are
-// cold; loaded under a package with no hot entries (econcast/internal/viz)
-// nothing may be reported, and cold construction/teardown is never
-// constrained.
+// (*coordinator).step is the event loop and may not allocate; loaded
+// under a package with no hot entries (econcast/internal/viz) nothing
+// may be reported, and cold construction/teardown is never constrained.
 package fixture
 
 type event struct{ at float64 }
@@ -12,39 +10,22 @@ type event struct{ at float64 }
 type coordinator struct {
 	queue   []event
 	scratch []int
-	trans   []int32
 	occ     map[int]float64
-	seen    map[int32]bool
 }
 
-// run drives the loop. It is not a hot entry, so its setup may
-// allocate.
+// run drives the loop; it allocates nothing itself.
 func (e *coordinator) run() {
-	e.start()
 	for e.step() {
 	}
-}
-
-// start seeds the event sources: cold, reachable only from run.
-func (e *coordinator) start() {
-	e.queue = make([]event, 0, 8)
-	e.trans = append(e.trans, 0)
 }
 
 // step is the hot entry point; its whole call tree is the event loop.
 func (e *coordinator) step() bool {
 	buf := make([]int, 8) // want hotalloc
 	_ = buf
-	heads := make([]float64, 3) // want hotalloc
-	_ = heads
-	if len(e.queue) > 0 {
-		e.queue = e.queue[1:]
-	}
 	e.scratch = append(e.scratch, 1) // want hotalloc
 	e.scratch = expand(e.scratch)
 	e.handleTick()
-	e.dispatch()
-	e.arm(0)
 	return len(e.queue) > 0
 }
 
@@ -53,11 +34,6 @@ func (e *coordinator) handleTick() {
 	m := map[int]float64{0: 1} // want hotalloc
 	_ = m
 	e.grow()
-}
-
-// dispatch is hot only transitively too: step -> dispatch.
-func (e *coordinator) dispatch() {
-	e.seen = map[int32]bool{} // want hotalloc
 }
 
 // expand is a hot free function: plain calls are followed, not just
@@ -71,21 +47,13 @@ func (e *coordinator) grow() {
 	e.queue = append(e.queue, event{}) //lint:allow hotalloc amortized high-water growth, audited
 }
 
-// arm shows the escape hatch for audited bounded growth of the
-// transition heap.
-func (e *coordinator) arm(node int32) {
-	e.trans = append(e.trans, node) //lint:allow hotalloc pre-sized to the node count, which bounds the heap
-}
-
 // newCoordinator is cold: it is not reachable from step, so
 // construction-time allocation is unconstrained.
 func newCoordinator(n int) *coordinator {
 	return &coordinator{
 		queue:   make([]event, 0, n),
 		scratch: make([]int, 0, n),
-		trans:   make([]int32, 0, n),
 		occ:     map[int]float64{},
-		seen:    map[int32]bool{},
 	}
 }
 
