@@ -36,15 +36,22 @@ func splitmix64(x *uint64) uint64 {
 // sequences; the same seed always gives the same sequence.
 func New(seed uint64) *Source {
 	var src Source
+	src.Seed(seed)
+	return &src
+}
+
+// Seed resets s to the stream New(seed) returns, in place: a Source held
+// by value (one per node in a simulator's per-node record) is seeded
+// without a heap allocation.
+func (s *Source) Seed(seed uint64) {
 	x := seed
-	for i := range src.s {
-		src.s[i] = splitmix64(&x)
+	for i := range s.s {
+		s.s[i] = splitmix64(&x)
 	}
 	// xoshiro256** must not be seeded with the all-zero state.
-	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
-		src.s[0] = 0x9e3779b97f4a7c15
+	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
+		s.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &src
 }
 
 // Split derives a new, effectively independent Source from s. The parent

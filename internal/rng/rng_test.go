@@ -16,6 +16,26 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// Seed resets a Source held by value to the stream New returns, whatever
+// it held before.
+func TestSeedMatchesNew(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, math.MaxUint64} {
+		var s Source
+		s.Seed(7)
+		s.Uint64()
+		s.Seed(seed)
+		ref := New(seed)
+		if s != *ref {
+			t.Fatalf("seed %d: Seed state %v, New state %v", seed, s.s, ref.s)
+		}
+		for i := 0; i < 1000; i++ {
+			if a, b := s.Uint64(), ref.Uint64(); a != b {
+				t.Fatalf("seed %d: streams diverged at step %d: %d != %d", seed, i, a, b)
+			}
+		}
+	}
+}
+
 func TestDistinctSeeds(t *testing.T) {
 	a := New(1)
 	b := New(2)

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -23,7 +25,10 @@ func warmCoordinator(tb testing.TB, cfg Config) *coordinator {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c := newCoordinator(cfg, flt)
+	c, err := newCoordinator(cfg, flt)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	c.start()
 	for i := 0; i < 200_000; i++ {
 		if !c.step() {
@@ -59,7 +64,13 @@ func steadyEngine(tb testing.TB) *coordinator {
 // dispatch path on a clique. Run with -benchmem: the acceptance bar for
 // the allocation-free event loop is 0 allocs/op here.
 func BenchmarkEventLoop(b *testing.B) {
-	c := steadyEngine(b)
+	benchSteps(b, steadyEngine(b))
+}
+
+// benchSteps steps the warm coordinator c b.N times and reports the time
+// per dispatched event (Metrics.Events), the per-event cost comparable
+// across engine changes that alter how many steps dispatch nothing.
+func benchSteps(b *testing.B, c *coordinator) {
 	b.ReportAllocs()
 	events := c.met.Events
 	b.ResetTimer()
@@ -68,14 +79,6 @@ func BenchmarkEventLoop(b *testing.B) {
 			b.Fatal("queue drained")
 		}
 	}
-	reportNsPerEvent(b, c, events)
-}
-
-// reportNsPerEvent reports the benchmark's time per dispatched event
-// (Metrics.Events), the per-event cost comparable across engine changes
-// that alter how many steps dispatch nothing. events is the count at
-// the timer reset.
-func reportNsPerEvent(b *testing.B, c *coordinator, events int) {
 	if n := c.met.Events - events; n > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/event")
 	}
@@ -110,22 +113,74 @@ func BenchmarkEventLoopNonClique(b *testing.B) {
 		Warmup:   1e17,
 		Seed:     1,
 	}
-	c := warmCoordinator(b, cfg)
-	b.ReportAllocs()
-	events := c.met.Events
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !c.step() {
-			b.Fatal("queue drained")
-		}
-	}
-	reportNsPerEvent(b, c, events)
+	benchSteps(b, warmCoordinator(b, cfg))
 }
 
-// TestNodeHotSize pins the SoA compaction contract: the hot per-node
-// record is exactly one cache line.
+// BenchmarkEventLoopGrid is the large-N variant, on the grid-100k
+// workload's 316×316 grid: its per-node records, windows and heap far
+// outgrow the L2 cache, so the cost of reaching a neighbor's record, which
+// the small-cell benchmarks above keep in cache, shows in ns/event.
+func BenchmarkEventLoopGrid(b *testing.B) {
+	sc := scaleBenchCases()[2]
+	cfg := sc.config(1)
+	cfg.Duration, cfg.Warmup = 1e18, 1e17
+	benchSteps(b, warmCoordinator(b, cfg))
+}
+
+// TestNodeHotSize pins the dispatch-path line: nodeHot is exactly one
+// cache line.
 func TestNodeHotSize(t *testing.T) {
 	if s := unsafe.Sizeof(nodeHot{}); s != 64 {
 		t.Fatalf("nodeHot is %d bytes, want 64", s)
 	}
+}
+
+// TestNodeRecordLayout pins the per-node record: three cache lines, with
+// the dispatch-path line first, so a neighbor's carrier update loads one
+// line and a node's own event finds its stream, memo and core in the
+// two after it.
+func TestNodeRecordLayout(t *testing.T) {
+	var nd node
+	if s := unsafe.Sizeof(nd); s != 192 {
+		t.Fatalf("node is %d bytes, want 192", s)
+	}
+	if o := unsafe.Offsetof(nd.nodeHot); o != 0 {
+		t.Fatalf("nodeHot at offset %d, want 0", o)
+	}
+}
+
+// TestCSROffsetsOverflow pins the guard on the int32 windows: a degree
+// sum past MaxInt32 is an error, never a wrapped offset. The degrees are
+// faked, so no such topology is built.
+func TestCSROffsetsOverflow(t *testing.T) {
+	degree := func(i int) int { return 1<<30 - i }
+	off, err := csrOffsets(2, degree)
+	if err != nil {
+		t.Fatalf("degree sum MaxInt32: %v", err)
+	}
+	if want := []int32{0, 1 << 30, math.MaxInt32}; !slices.Equal(off, want) {
+		t.Fatalf("offsets %v, want %v", off, want)
+	}
+	if _, err := csrOffsets(3, degree); err == nil {
+		t.Fatal("degree sum past MaxInt32 accepted")
+	}
+}
+
+// TestRunAllocsBounded pins the allocations of one whole Run on a 32×32
+// grid: the run's arrays and the amortized growth of its packet ring and
+// latency samples, nothing per node. Each node's RNG stream is seeded in
+// place in its record rather than allocated; allocating one per node
+// would put 1,024 allocations on top.
+func TestRunAllocsBounded(t *testing.T) {
+	cfg := scaleBenchCases()[0].config(1)
+	cfg.Duration, cfg.Warmup = 0.05, 0.01
+	avg := testing.AllocsPerRun(3, func() {
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 100 {
+		t.Fatalf("Run on %d nodes allocates %.0f times, want at most 100", cfg.Network.N(), avg)
+	}
+	t.Logf("%.0f allocations per Run on %d nodes", avg, cfg.Network.N())
 }

@@ -1,7 +1,9 @@
 // The event engine: one discrete-event loop per run. The coordinator
-// keeps node state in flat per-node arrays — every dispatch-path scalar
-// packed into one cache line per node — so the per-event working set is
-// dense, and owns the run's four event sources, each kept in the
+// keeps each node's state in one 192-byte record — every dispatch-path
+// scalar packed into its first cache line, then the node's RNG stream,
+// rate memo and protocol core — and its neighbor and listener lists in
+// int32 windows of two flat slabs, so the per-event working set is
+// dense. It owns the run's four event sources, each kept in the
 // cheapest structure its order allows: a FIFO of packet ends (they
 // arrive in order), a sorted slice of fault boundaries read through a
 // cursor, the transition heap, and the tick cursor. step dispatches the
@@ -43,9 +45,9 @@ import (
 	"econcast/internal/topology"
 )
 
-// coordinator is the engine: SoA node state, the event sources, and the
-// dispatch clock and counters. One goroutine drives it; the event
-// handlers are its methods.
+// coordinator is the engine: the per-node records and windows, the
+// event sources, and the dispatch clock and counters. One goroutine
+// drives it; the event handlers are its methods.
 type coordinator struct {
 	cfg  Config
 	n    int
@@ -82,42 +84,28 @@ type coordinator struct {
 	tickAt   float64
 	tickNext int
 
-	// rngs holds one independent stream per node (derived from the run
-	// seed via rng.DeriveSeed); every draw is attributed to the node whose
-	// transition, packet decision, or estimate it realizes, so each
-	// stream's draw sequence is a function of that node's event history
-	// alone.
-	rngs []rng.Source
+	// nodes holds one record per node (see node): its dispatch-path
+	// line, RNG stream, rate memo and protocol core, adjacent in memory.
+	nodes []node
 
-	// hot is the cache-line-packed per-node state: one 64-byte record
-	// per node holding every scalar the dispatch path reads or writes —
-	// the node's dynamic state, its packet slot's scalars, the listener
-	// counter, and its parameter-block index — so an event on a node
-	// loads one line of per-node state besides its protocol core.
-	hot []nodeHot
-
-	// cores is the per-node protocol dynamic state (64 bytes each);
 	// params holds the deduplicated immutable parameter blocks that
-	// hot[i].paramOf indexes, and harvest the per-node harvest wrappers.
-	// Splitting econcast.Node this way keeps the per-node footprint at
-	// one cache line for the dispatch path plus one for the energy ledger.
-	cores   []econcast.Core
-	params  []econcast.Params
-	harvest []func(float64) float64
-
-	// memo caches each node's eta-only rates per multiplier epoch (see
-	// rateMemo); contProb[p][k] is parameter block p's EconCast-C
-	// continue probability for an estimate of k listeners, for every k up
-	// to the maximum degree.
-	memo     []rateMemo
+	// nodes[i].paramOf indexes, and harvest the per-node harvest
+	// wrappers; contProb[p][k] is parameter block p's EconCast-C continue
+	// probability for an estimate of k listeners, for every k up to the
+	// maximum degree.
+	params   []econcast.Params
+	harvest  []func(float64) float64
 	contProb [][]float64
 
-	// nbr[i] is node i's neighbor set (precomputed, sorted), and
-	// pktListeners[i] the listener list of node i's packet slot. Each is
-	// a window of one contiguous slab with capacity deg(i); listeners are
-	// a subset of neighbors, so starting a packet never reallocates.
-	nbr          [][]int
-	pktListeners [][]int
+	// The neighbor and listener windows, in CSR form over one offset
+	// array: node i's neighbors (precomputed, sorted) are
+	// nbrs[off[i]:off[i+1]], and the listener list of its packet slot is
+	// the first nodes[i].nListen entries of lst's window at the same
+	// offsets. Listeners are a subset of neighbors, so a packet's list is
+	// written in place. Offsets and ids are int32 (see csrOffsets).
+	off  []int32
+	nbrs []int32
+	lst  []int32
 
 	logging    bool
 	packetTime float64
@@ -140,6 +128,23 @@ type coordinator struct {
 	occLast float64
 }
 
+// node is one node's record, 192 bytes in three cache lines. nodeHot
+// comes first and fills the first line, the only one a neighbor's
+// carrier update or listener bookkeeping loads; an event on the node
+// itself finds its stream, memo and core in the two lines after it.
+// src is the node's own RNG stream (derived from the run seed via
+// rng.DeriveSeed): every draw is attributed to the node whose
+// transition, packet decision, or estimate it realizes, so each
+// stream's draw sequence is a function of that node's event history
+// alone. core is the node's protocol dynamic state; its immutable
+// parameters are shared through paramOf.
+type node struct {
+	nodeHot
+	src  rng.Source
+	memo rateMemo
+	core econcast.Core
+}
+
 // nodeHot packs one node's dispatch-path state into a single 64-byte
 // cache line. Booleans are bits of flags.
 type nodeHot struct {
@@ -152,15 +157,16 @@ type nodeHot struct {
 	burstCount int32
 	// listeningTo counts the in-flight packets whose listener list holds
 	// this node (a node frozen in Listen can be captured by several
-	// overlapping packets). It inverts the pktListeners relation, so the
+	// overlapping packets). It inverts the listener lists, so the
 	// hidden-terminal check at transmission start is one counter load per
 	// neighbor instead of a scan over every nearby in-flight packet.
 	listeningTo int32
 	pktBurstLen int32 // packets already sent in the slot's current hold
+	nListen     int32 // length of the slot's listener list
 	paramOf     int32 // index into coordinator.params; immutable
 	state       model.State
 	flags       uint8
-	_           [18]byte // pad to 64 bytes; see TestNodeHotSize
+	_           [14]byte // pad to 64 bytes; see TestNodeHotSize
 }
 
 // rateMemo caches the carrier-free rates of one node that depend on its
@@ -196,8 +202,27 @@ func (h *nodeHot) put(f uint8, v bool) {
 	}
 }
 
-func newCoordinator(cfg Config, flt *faults.Set) *coordinator {
+// csrOffsets returns the n+1 offsets of n consecutive windows, window i
+// holding degree(i) entries. Offsets are int32, so it fails for a degree
+// sum past MaxInt32.
+func csrOffsets(n int, degree func(int) int) ([]int32, error) {
+	off := make([]int32, n+1)
+	sum := 0
+	for i := 0; i < n; i++ {
+		if sum += degree(i); sum > math.MaxInt32 {
+			return nil, fmt.Errorf("sim: topology degree sum overflows int32 neighbor offsets at node %d", i)
+		}
+		off[i+1] = int32(sum)
+	}
+	return off, nil
+}
+
+func newCoordinator(cfg Config, flt *faults.Set) (*coordinator, error) {
 	n := cfg.Network.N()
+	off, err := csrOffsets(n, cfg.Topology.Degree)
+	if err != nil {
+		return nil, err
+	}
 	c := &coordinator{
 		cfg:        cfg,
 		n:          n,
@@ -208,14 +233,12 @@ func newCoordinator(cfg Config, flt *faults.Set) *coordinator {
 		logging:    cfg.EventLog != nil,
 		packetTime: model.DefaultIfZero(cfg.Protocol.PacketTime, 1e-3),
 
-		rngs:    make([]rng.Source, n),
-		hot:     make([]nodeHot, n),
-		cores:   make([]econcast.Core, n),
+		nodes:   make([]node, n),
 		harvest: make([]func(float64) float64, n),
-		memo:    make([]rateMemo, n),
 
-		nbr:          make([][]int, n),
-		pktListeners: make([][]int, n),
+		off:  off,
+		nbrs: make([]int32, off[n]),
+		lst:  make([]int32, off[n]),
 
 		gp:            make([]float64, n),
 		ap:            make([]float64, n),
@@ -226,28 +249,21 @@ func newCoordinator(cfg Config, flt *faults.Set) *coordinator {
 		c.met.Occupancy = make(map[model.NetState]float64)
 	}
 	c.trans = evq.NewHeap(n)
-	degSum, maxDeg := 0, 0
+	maxDeg := 0
 	for i := 0; i < n; i++ {
-		d := c.topo.Degree(i)
-		degSum += d
-		maxDeg = max(maxDeg, d)
-	}
-	nbrSlab := make([]int, degSum)
-	lstSlab := make([]int, degSum)
-	off := 0
-	for i := 0; i < n; i++ {
-		d := copy(nbrSlab[off:], c.topo.Neighbors(i))
-		c.nbr[i] = nbrSlab[off : off+d : off+d]
-		c.pktListeners[i] = lstSlab[off : off : off+d]
-		off += d
-		c.rngs[i] = *rng.New(rng.DeriveSeed(cfg.Seed, rngNodeDomain, uint64(i)))
+		w := c.neighbors(i)
+		for k, j := range c.topo.Neighbors(i) {
+			w[k] = int32(j)
+		}
+		maxDeg = max(maxDeg, len(w))
+		c.nodes[i].src.Seed(rng.DeriveSeed(cfg.Seed, rngNodeDomain, uint64(i)))
 	}
 	// Parameter blocks are immutable and comparable, so identical nodes
 	// share one block: a homogeneous network keeps a single Params hot in
 	// cache instead of n copies interleaved with the dynamic state.
 	seen := make(map[econcast.Params]int32, 1)
 	for i := 0; i < n; i++ {
-		nd := cfg.Network.Nodes[i]
+		spec := cfg.Network.Nodes[i]
 		pc := cfg.nodeConfig(i)
 		if cfg.FreezeEta {
 			// A vanishing step makes the eq. (17) updates no-ops, keeping
@@ -261,28 +277,29 @@ func newCoordinator(cfg Config, flt *faults.Set) *coordinator {
 			c.params = append(c.params, par)
 			seen[par] = id
 		}
-		c.hot[i].paramOf = id
+		nd := &c.nodes[i]
+		nd.paramOf = id
 		// Brownouts scale the node's harvest inside their windows. A
 		// wrapper is installed only when a profile or a brownout schedule
 		// exists for this node, so every other node keeps the exact
 		// constant-budget integration path bit for bit.
 		if v := flt.View(i); cfg.Harvest != nil {
-			node := i
+			idx := i
 			if v.HasBrownout() {
-				c.harvest[i] = func(t float64) float64 { return cfg.Harvest(node, t) * v.HarvestScale(t) }
+				c.harvest[i] = func(t float64) float64 { return cfg.Harvest(idx, t) * v.HarvestScale(t) }
 			} else {
-				c.harvest[i] = func(t float64) float64 { return cfg.Harvest(node, t) }
+				c.harvest[i] = func(t float64) float64 { return cfg.Harvest(idx, t) }
 			}
 		} else if v.HasBrownout() {
-			budget := nd.Budget
+			budget := spec.Budget
 			c.harvest[i] = func(t float64) float64 { return budget * v.HarvestScale(t) }
 		}
-		c.cores[i] = econcast.NewCore(cfg.InitialBattery)
-		c.hot[i].state = model.Sleep
-		c.hot[i].lastBurstEnd = -1
+		nd.core = econcast.NewCore(cfg.InitialBattery)
+		nd.state = model.Sleep
+		nd.lastBurstEnd = -1
 		if cfg.WarmEta != nil {
-			p0 := math.Max(nd.ListenPower, nd.TransmitPower)
-			c.cores[i].Eta = cfg.WarmEta[i] * p0
+			p0 := math.Max(spec.ListenPower, spec.TransmitPower)
+			nd.core.Eta = cfg.WarmEta[i] * p0
 		}
 	}
 	// A transmitter's listener count never exceeds its degree, so the
@@ -297,11 +314,20 @@ func newCoordinator(cfg Config, flt *faults.Set) *coordinator {
 			c.contProb[b][k] = core.ContinueTransmitProb(par, par.Estimate(k))
 		}
 	}
-	return c
+	return c, nil
 }
 
 // pr returns node i's shared parameter block.
-func (c *coordinator) pr(i int) *econcast.Params { return &c.params[c.hot[i].paramOf] }
+func (c *coordinator) pr(i int) *econcast.Params { return &c.params[c.nodes[i].paramOf] }
+
+// neighbors returns node i's neighbor window.
+func (c *coordinator) neighbors(i int) []int32 { return c.nbrs[c.off[i]:c.off[i+1]] }
+
+// listeners returns the listener list of node i's packet slot.
+func (c *coordinator) listeners(i int) []int32 {
+	o := c.off[i]
+	return c.lst[o : o+c.nodes[i].nListen]
+}
 
 func (c *coordinator) run() {
 	c.start()
@@ -435,7 +461,7 @@ func (c *coordinator) openWindow() {
 	c.now = c.cfg.Warmup
 	for i := 0; i < c.n; i++ {
 		c.accrue(i)
-		c.warmupBattery[i] = c.cores[i].Battery
+		c.warmupBattery[i] = c.nodes[i].core.Battery
 	}
 	c.measuring = true
 }
@@ -457,24 +483,24 @@ func (c *coordinator) nextSeq(i int) uint64 {
 // Multiplier boundaries are also forced by the tick cursor, so eta changes
 // land exactly on tau multiples regardless of event spacing.
 func (c *coordinator) accrue(i int) {
-	h := &c.hot[i]
-	if dt := c.now - h.lastUpdate; dt > 0 {
-		c.cores[i].Advance(c.pr(i), c.harvest[i], dt, h.state)
-		h.lastUpdate = c.now
+	nd := &c.nodes[i]
+	if dt := c.now - nd.lastUpdate; dt > 0 {
+		nd.core.Advance(c.pr(i), c.harvest[i], dt, nd.state)
+		nd.lastUpdate = c.now
 	}
 }
 
 // cancel deletes node i's pending transition, if any, from the
 // transition heap in place, and drops a suspended one.
 func (c *coordinator) cancel(i int) {
-	c.hot[i].clear(fSuspended)
+	c.nodes[i].clear(fSuspended)
 	c.trans.Remove(i)
 }
 
 // arm makes at node i's pending transition under a fresh key, replacing
 // any it had in place and dropping a suspended one.
 func (c *coordinator) arm(i int, at float64) {
-	c.hot[i].clear(fSuspended)
+	c.nodes[i].clear(fSuspended)
 	c.trans.Set(i, at, c.nextSeq(i))
 }
 
@@ -489,7 +515,7 @@ func (c *coordinator) arm(i int, at float64) {
 // which drop the suspension. A non-capture listener's rate depends on
 // the listener estimate, so it is resampled, which cancels it.
 func (c *coordinator) freeze(i int) {
-	h := &c.hot[i]
+	h := &c.nodes[i]
 	if h.state == model.Listen && c.cfg.Protocol.Variant == econcast.NonCapture {
 		c.scheduleTransition(i)
 		return
@@ -504,8 +530,8 @@ func (c *coordinator) freeze(i int) {
 // suspended transition is re-armed at now + resid if the node still
 // gets a timer at all, and anything else is sampled afresh.
 func (c *coordinator) unfreeze(i int) {
-	if c.hot[i].has(fSuspended) && c.timed(i) {
-		c.arm(i, c.now+c.hot[i].resid)
+	if h := &c.nodes[i]; h.has(fSuspended) && c.timed(i) {
+		c.arm(i, c.now+h.resid)
 		return
 	}
 	c.scheduleTransition(i)
@@ -514,11 +540,11 @@ func (c *coordinator) unfreeze(i int) {
 // release frees the channel transmitter i held: each neighbor loses a
 // transmitting neighbor, and one whose carrier frees up is unfrozen.
 func (c *coordinator) release(i int) {
-	for _, j := range c.nbr[i] {
-		h := &c.hot[j]
+	for _, j := range c.neighbors(i) {
+		h := &c.nodes[j]
 		h.busy--
 		if h.busy == 0 && h.state != model.Transmit {
-			c.unfreeze(j)
+			c.unfreeze(int(j))
 		}
 	}
 }
@@ -537,7 +563,7 @@ func (c *coordinator) active(i int, t float64) bool {
 func (c *coordinator) currentNetState() model.NetState {
 	s := model.NetState{Transmitter: model.NoTransmitter}
 	for i := 0; i < c.n; i++ {
-		switch c.hot[i].state {
+		switch c.nodes[i].state {
 		case model.Transmit:
 			s.Transmitter = i
 		case model.Listen:
@@ -566,9 +592,9 @@ func (c *coordinator) accrueOccupancy(until float64) {
 func (c *coordinator) setState(i int, st model.State) {
 	c.accrue(i)
 	if c.logging {
-		c.logf("%.6f node %d: %v -> %v", c.now, i, c.hot[i].state, st) //lint:allow hotalloc trace logging; c.logging is off in measured runs
+		c.logf("%.6f node %d: %v -> %v", c.now, i, c.nodes[i].state, st) //lint:allow hotalloc trace logging; c.logging is off in measured runs
 	}
-	c.hot[i].state = st
+	c.nodes[i].state = st
 }
 
 // logf writes one trace line. Callers on the hot path must gate the call
@@ -584,7 +610,7 @@ func (c *coordinator) logf(format string, args ...any) {
 // actual listeners, applying the configured noise hook.
 func (c *coordinator) observedCount(i, count int) int {
 	if c.cfg.EstimateListeners != nil {
-		count = c.cfg.EstimateListeners(count, &c.rngs[i])
+		count = c.cfg.EstimateListeners(count, &c.nodes[i].src)
 		if count < 0 {
 			count = 0
 		}
@@ -596,10 +622,10 @@ func (c *coordinator) observedCount(i, count int) int {
 // channel for another packet after count successful receptions.
 func (c *coordinator) continueProb(i, count int) float64 {
 	count = c.observedCount(i, count)
-	if tbl := c.contProb[c.hot[i].paramOf]; count < len(tbl) {
+	if tbl := c.contProb[c.nodes[i].paramOf]; count < len(tbl) {
 		return tbl[count]
 	}
-	return c.cores[i].ContinueTransmitProb(c.pr(i), c.pr(i).Estimate(count))
+	return c.nodes[i].core.ContinueTransmitProb(c.pr(i), c.pr(i).Estimate(count))
 }
 
 // listenEstimate is the continuous listener estimate used by the
@@ -607,8 +633,8 @@ func (c *coordinator) continueProb(i, count int) float64 {
 // listening neighbors (whose pings the node hears).
 func (c *coordinator) listenEstimate(i int) float64 {
 	count := 0
-	for _, j := range c.nbr[i] {
-		if c.hot[j].state == model.Listen {
+	for _, j := range c.neighbors(i) {
+		if c.nodes[j].state == model.Listen {
 			count++
 		}
 	}
@@ -618,12 +644,13 @@ func (c *coordinator) listenEstimate(i int) float64 {
 // sleepToListen returns node i's eq. (18) sleep->listen rate, zero under
 // a busy carrier.
 func (c *coordinator) sleepToListen(i int) float64 {
-	if c.hot[i].busy != 0 {
+	nd := &c.nodes[i]
+	if nd.busy != 0 {
 		return 0
 	}
-	m := &c.memo[i]
-	if e := int64(c.cores[i].Updates()) + 1; m.sEpoch != e {
-		m.s2l = c.cores[i].SleepToListen(c.pr(i), true)
+	m := &nd.memo
+	if e := int64(nd.core.Updates()) + 1; m.sEpoch != e {
+		m.s2l = nd.core.SleepToListen(c.pr(i), true)
 		m.sEpoch = e
 	}
 	return m.s2l
@@ -635,17 +662,18 @@ func (c *coordinator) sleepToListen(i int) float64 {
 // estimate, so it is evaluated afresh, and its estimate is drawn even
 // under a busy carrier (the noise hook consumes the node's stream).
 func (c *coordinator) listenRates(i int) (toSleep, toTransmit float64) {
-	carrierFree := c.hot[i].busy == 0
+	nd := &c.nodes[i]
+	carrierFree := nd.busy == 0
 	p := c.pr(i)
 	if p.Variant == econcast.NonCapture {
-		return c.cores[i].ListenRates(p, carrierFree, c.listenEstimate(i))
+		return nd.core.ListenRates(p, carrierFree, c.listenEstimate(i))
 	}
 	if !carrierFree {
 		return 0, 0
 	}
-	m := &c.memo[i]
-	if e := int64(c.cores[i].Updates()) + 1; m.lEpoch != e {
-		_, m.l2x = c.cores[i].ListenRates(p, true, 0)
+	m := &nd.memo
+	if e := int64(nd.core.Updates()) + 1; m.lEpoch != e {
+		_, m.l2x = nd.core.ListenRates(p, true, 0)
 		m.lEpoch = e
 	}
 	return 1 / p.PacketTime, m.l2x
@@ -671,11 +699,11 @@ func (c *coordinator) scheduleTransition(i int) {
 // hard battery floor waits for a tick to find it recharged, and an
 // absent or crashed node is re-checked at its next tick or restart.
 func (c *coordinator) timed(i int) bool {
-	h := &c.hot[i]
-	if h.state == model.Transmit {
+	nd := &c.nodes[i]
+	if nd.state == model.Transmit {
 		return false
 	}
-	if c.cfg.HardBatteryFloor && h.state == model.Sleep && c.cores[i].Depleted() {
+	if c.cfg.HardBatteryFloor && nd.state == model.Sleep && nd.core.Depleted() {
 		return false
 	}
 	return c.active(i, c.now)
@@ -687,9 +715,9 @@ func (c *coordinator) sampleDwell(i int) (dwell float64, ok bool) {
 	if !c.timed(i) {
 		return 0, false
 	}
-	h := &c.hot[i]
+	nd := &c.nodes[i]
 	var total float64
-	switch h.state {
+	switch nd.state {
 	case model.Sleep:
 		total = c.sleepToListen(i)
 	case model.Listen:
@@ -699,8 +727,8 @@ func (c *coordinator) sampleDwell(i int) (dwell float64, ok bool) {
 	if total <= 0 {
 		return 0, false
 	}
-	dwell = c.rngs[i].Exp(total)
-	if h.state == model.Sleep {
+	dwell = nd.src.Exp(total)
+	if nd.state == model.Sleep {
 		// Sleep intervals are timed by the node's low-power clock, which
 		// the drift fault scales; listen/transmit timing runs off the
 		// (accurate) active-mode clock, as on the testbed hardware.
@@ -712,7 +740,7 @@ func (c *coordinator) sampleDwell(i int) (dwell float64, ok bool) {
 // handleTransition fires node i's sampled transition.
 func (c *coordinator) handleTransition(i int) {
 	c.accrue(i)
-	switch c.hot[i].state {
+	switch c.nodes[i].state {
 	case model.Sleep:
 		c.setState(i, model.Listen)
 		c.onListenSetChanged(i)
@@ -723,12 +751,12 @@ func (c *coordinator) handleTransition(i int) {
 		if total <= 0 {
 			return
 		}
-		if c.rngs[i].Float64()*total < toTransmit {
+		if c.nodes[i].src.Float64()*total < toTransmit {
 			c.startTransmission(i)
 		} else {
 			c.flushBurst(i)
 			c.setState(i, model.Sleep)
-			c.hot[i].set(fSleptSince)
+			c.nodes[i].set(fSleptSince)
 			c.onListenSetChanged(i)
 			c.scheduleTransition(i)
 		}
@@ -741,9 +769,9 @@ func (c *coordinator) onListenSetChanged(i int) {
 	if c.cfg.Protocol.Variant != econcast.NonCapture {
 		return
 	}
-	for _, j := range c.nbr[i] {
-		if c.hot[j].state == model.Listen {
-			c.scheduleTransition(j)
+	for _, j := range c.neighbors(i) {
+		if c.nodes[j].state == model.Listen {
+			c.scheduleTransition(int(j))
 		}
 	}
 }
@@ -751,7 +779,7 @@ func (c *coordinator) onListenSetChanged(i int) {
 // startTransmission moves node i from listen to transmit, occupies the
 // channel for its neighbors, and begins the first packet of the hold.
 func (c *coordinator) startTransmission(i int) {
-	if c.hot[i].busy != 0 {
+	if c.nodes[i].busy != 0 {
 		// Carrier sensing (the A(t) gate) must make this unreachable.
 		panic(fmt.Sprintf("sim: node %d transmitting into a busy channel", i))
 	}
@@ -766,11 +794,11 @@ func (c *coordinator) startTransmission(i int) {
 	// mark is per node, not per (packet, node) pair, and the listeningTo
 	// inversion makes the check one counter load instead of a walk over
 	// every nearby packet's listeners.
-	for _, j := range c.nbr[i] {
-		h := &c.hot[j]
+	for _, j := range c.neighbors(i) {
+		h := &c.nodes[j]
 		h.busy++
 		if h.busy == 1 && h.state != model.Transmit {
-			c.freeze(j) // channel became busy for j
+			c.freeze(int(j)) // channel became busy for j
 		}
 		if h.listeningTo > 0 && !h.has(fCollidedInPkt) {
 			h.set(fCollidedInPkt)
@@ -788,15 +816,18 @@ func (c *coordinator) startTransmission(i int) {
 // currently listening; a listener with more than one transmitting
 // neighbor is collided from the start.
 func (c *coordinator) startPacket(i int, burstLen int32, delivered bool) {
-	hi := &c.hot[i]
+	hi := &c.nodes[i]
 	hi.set(fPktActive)
 	hi.pktBurstLen = burstLen
 	hi.put(fPktDelivered, delivered)
-	listeners := c.pktListeners[i][:0]
-	for _, j := range c.nbr[i] {
-		h := &c.hot[j]
+	o, end := c.off[i], c.off[i+1]
+	lst := c.lst[o:end]
+	nl := int32(0)
+	for _, j := range c.nbrs[o:end] {
+		h := &c.nodes[j]
 		if h.state == model.Listen {
-			listeners = append(listeners, j) //lint:allow hotalloc capacity is deg(i) and listeners are a subset of neighbors, so this never reallocates
+			lst[nl] = j
+			nl++
 			h.listeningTo++
 			h.put(fCollidedInPkt, h.busy > 1)
 			if h.has(fCollidedInPkt) && c.measuring {
@@ -804,10 +835,10 @@ func (c *coordinator) startPacket(i int, burstLen int32, delivered bool) {
 			}
 		}
 	}
-	c.pktListeners[i] = listeners
+	hi.nListen = nl
 	if c.logging {
 		c.logf("%.6f node %d: packet %d of hold, %d listeners",
-			c.now, i, burstLen+1, len(listeners)) //lint:allow hotalloc trace logging; c.logging is off in measured runs
+			c.now, i, burstLen+1, nl) //lint:allow hotalloc trace logging; c.logging is off in measured runs
 	}
 	c.pkts.push(evq.Key{At: c.now + c.packetTime, Seq: c.nextSeq(i)})
 }
@@ -815,7 +846,7 @@ func (c *coordinator) startPacket(i int, burstLen int32, delivered bool) {
 // handlePacketEnd completes transmitter i's current packet: deliver
 // receptions, re-estimate listeners, and continue or release the channel.
 func (c *coordinator) handlePacketEnd(i int) {
-	hi := &c.hot[i]
+	hi := &c.nodes[i]
 	if !hi.has(fPktActive) || hi.state != model.Transmit {
 		return
 	}
@@ -825,8 +856,8 @@ func (c *coordinator) handlePacketEnd(i int) {
 	// streams advance only on real attempts and stay reproducible.
 	silenced := c.flt.Silenced(i, c.now)
 	success := 0
-	for _, j := range c.pktListeners[i] {
-		h := &c.hot[j]
+	for _, j := range c.listeners(i) {
+		h := &c.nodes[j]
 		h.listeningTo-- // this packet is over; balances startPacket
 		if h.state != model.Listen {
 			// Left mid-packet (churn departure or crash): no reception.
@@ -837,7 +868,7 @@ func (c *coordinator) handlePacketEnd(i int) {
 			h.clear(fCollidedInPkt)
 			continue
 		}
-		if silenced || c.flt.DropRx(j, c.now) {
+		if silenced || c.flt.DropRx(int(j), c.now) {
 			if c.measuring {
 				c.met.LostReceptions++
 			}
@@ -846,7 +877,7 @@ func (c *coordinator) handlePacketEnd(i int) {
 		success++
 		h.burstCount++
 		if c.cfg.OnDeliver != nil {
-			c.cfg.OnDeliver(i, j, c.now)
+			c.cfg.OnDeliver(i, int(j), c.now)
 		}
 		if c.measuring {
 			c.met.PacketsDelivered++
@@ -876,12 +907,13 @@ func (c *coordinator) handlePacketEnd(i int) {
 
 	// A physically depleted listener is forced to sleep to recharge.
 	if c.cfg.HardBatteryFloor {
-		for _, j := range c.pktListeners[i] {
+		for _, j := range c.listeners(i) {
+			j := int(j)
 			c.accrue(j)
-			if c.hot[j].state == model.Listen && c.cores[j].Depleted() {
+			if nd := &c.nodes[j]; nd.state == model.Listen && nd.core.Depleted() {
 				c.flushBurst(j)
 				c.setState(j, model.Sleep)
-				c.hot[j].set(fSleptSince)
+				nd.set(fSleptSince)
 				c.cancel(j)
 				c.onListenSetChanged(j)
 			}
@@ -892,11 +924,11 @@ func (c *coordinator) handlePacketEnd(i int) {
 	// depleted transmitter must release regardless.
 	c.accrue(i)
 	cont := c.continueProb(i, success)
-	forced := c.cfg.HardBatteryFloor && c.cores[i].Depleted()
+	forced := c.cfg.HardBatteryFloor && hi.core.Depleted()
 	if !c.active(i, c.now) {
 		forced = true // departed or crashed: release the channel now
 	}
-	if !forced && c.rngs[i].Bernoulli(cont) {
+	if !forced && hi.src.Bernoulli(cont) {
 		c.startPacket(i, hi.pktBurstLen+1, hi.has(fPktDelivered))
 		return
 	}
@@ -914,7 +946,7 @@ func (c *coordinator) handlePacketEnd(i int) {
 // flushBurst closes node i's receive burst (used by the latency metric;
 // burst-length samples themselves are recorded per channel hold).
 func (c *coordinator) flushBurst(i int) {
-	c.hot[i].burstCount = 0
+	c.nodes[i].burstCount = 0
 }
 
 // handleTick advances energy bookkeeping (forcing the eq. 17 update to
@@ -925,19 +957,19 @@ func (c *coordinator) handleTick(i int) {
 	c.accrue(i)
 	// Departure: an absent node abandons listening (transmitters finish
 	// their current hold first; the packet machinery owns that state).
-	if !c.active(i, c.now) && c.hot[i].state == model.Listen {
+	if !c.active(i, c.now) && c.nodes[i].state == model.Listen {
 		c.flushBurst(i)
 		c.setState(i, model.Sleep)
-		c.hot[i].set(fSleptSince)
+		c.nodes[i].set(fSleptSince)
 		c.cancel(i)
 		c.onListenSetChanged(i)
 	}
 	if c.cfg.OnTick != nil {
 		nd := c.cfg.Network.Nodes[i]
 		p0 := math.Max(nd.ListenPower, nd.TransmitPower)
-		c.cfg.OnTick(i, c.now, c.cores[i].Eta/p0)
+		c.cfg.OnTick(i, c.now, c.nodes[i].core.Eta/p0)
 	}
-	if c.hot[i].state != model.Transmit {
+	if c.nodes[i].state != model.Transmit {
 		c.scheduleTransition(i)
 	}
 }
@@ -949,18 +981,18 @@ func (c *coordinator) handleTick(i int) {
 func (c *coordinator) handleFault(i int) {
 	c.accrue(i)
 	if c.flt.Alive(i, c.now) {
-		if c.hot[i].state != model.Transmit {
+		if c.nodes[i].state != model.Transmit {
 			c.scheduleTransition(i)
 		}
 		return
 	}
 	// Crashed. A transmitter abandons its hold: the in-flight packet
 	// dies undelivered and the channel is released for its neighbors.
-	switch c.hot[i].state {
+	switch c.nodes[i].state {
 	case model.Transmit:
-		if hi := &c.hot[i]; hi.has(fPktActive) {
-			for _, j := range c.pktListeners[i] {
-				h := &c.hot[j]
+		if hi := &c.nodes[i]; hi.has(fPktActive) {
+			for _, j := range c.listeners(i) {
+				h := &c.nodes[j]
 				h.listeningTo--
 				h.clear(fCollidedInPkt)
 			}
@@ -973,7 +1005,7 @@ func (c *coordinator) handleFault(i int) {
 	case model.Listen:
 		c.flushBurst(i)
 		c.setState(i, model.Sleep)
-		c.hot[i].set(fSleptSince)
+		c.nodes[i].set(fSleptSince)
 		c.cancel(i)
 		c.onListenSetChanged(i)
 	default:
@@ -1007,11 +1039,12 @@ func (c *coordinator) finish() *Metrics {
 	for i := 0; i < c.n; i++ {
 		nd := c.cfg.Network.Nodes[i]
 		// Mean consumption over the window: harvest - net battery gain.
-		gained := c.cores[i].Battery - c.warmupBattery[i]
+		core := &c.nodes[i].core
+		gained := core.Battery - c.warmupBattery[i]
 		c.met.Power[i] = nd.Budget - gained/window
 		p0 := math.Max(nd.ListenPower, nd.TransmitPower)
-		c.met.EtaFinal[i] = c.cores[i].Eta / p0
-		c.met.Battery[i] = c.cores[i].Battery
+		c.met.EtaFinal[i] = core.Eta / p0
+		c.met.Battery[i] = core.Battery
 	}
 	c.met.FaultTrace = c.flt.Trace()
 	return &c.met

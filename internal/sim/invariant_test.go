@@ -22,7 +22,10 @@ func stepped(t *testing.T, cfg Config, check func(c *coordinator)) (*coordinator
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newCoordinator(cfg, flt)
+	c, err := newCoordinator(cfg, flt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.start()
 	check(c)
 	steps := 0
@@ -31,6 +34,31 @@ func stepped(t *testing.T, cfg Config, check func(c *coordinator)) (*coordinator
 		steps++
 	}
 	return c, steps
+}
+
+// listenersWithinNeighbors fails t unless the listener window of every
+// in-flight packet is a subsequence of its transmitter's neighbor window:
+// startPacket writes a packet's listeners in neighbor order into the
+// window the neighbors' offsets bound. Only startPacket writes a window,
+// and the packet it starts is in flight after that step, so checking
+// after every step checks every window the run writes.
+func listenersWithinNeighbors(t *testing.T, c *coordinator) {
+	for i := 0; i < c.n; i++ {
+		if !c.nodes[i].has(fPktActive) {
+			continue
+		}
+		nbrs, lst := c.neighbors(i), c.listeners(i)
+		k := 0
+		for _, j := range lst {
+			for k < len(nbrs) && nbrs[k] != j {
+				k++
+			}
+			if k == len(nbrs) {
+				t.Fatalf("node %d: listeners %v not a subset of neighbors %v", i, lst, nbrs)
+			}
+			k++
+		}
+	}
 }
 
 // underRace shortens cfg to the horizon d, scaling its warmup alike, when
@@ -56,7 +84,8 @@ func underRace(cfg Config, d float64) Config {
 // never popped. The packet-end FIFO is (at, seq)-sorted, which is what
 // lets a FIFO stand in for a heap, and holds at most two entries per
 // node (a crashed transmitter's stale packet end can outlive it into a
-// new hold). The fault boundaries not yet dispatched stay sorted. The
+// new hold). The fault boundaries not yet dispatched stay sorted, and
+// every listener window stays inside its neighbor window. The
 // grid adds carrier-sense freezes and resamples of neighbors, and the
 // faulty grid crashes, restarts and silences. Under the race detector
 // the runs are 1000 s, 60 s and 30 s (about 340k, 1.2M and 260k steps).
@@ -110,6 +139,7 @@ func TestPendingEventsBounded(t *testing.T) {
 				if !sorted(c.faults[c.faultNext:]) {
 					t.Fatal("unread fault boundaries out of (at, seq) order")
 				}
+				listenersWithinNeighbors(t, c)
 				maxPkts = max(maxPkts, q.n)
 			})
 			if steps < 10_000 {
@@ -126,8 +156,9 @@ func TestPendingEventsBounded(t *testing.T) {
 
 // TestListeningToBalances pins the inverted listener relation the
 // hidden-terminal check reads: between any two events, and at the end of
-// a run, hot[j].listeningTo equals the number of in-flight packets
-// (fPktActive slots) whose listener list holds j. Crashes abandon packets
+// a run, nodes[j].listeningTo equals the number of in-flight packets
+// (fPktActive slots) whose listener window holds j, and every listener
+// window lies inside its neighbor window. Crashes abandon packets
 // mid-flight, so the fault runs exercise the unwind path too. Under the
 // race detector the runs are 30 s instead of 300 s.
 func TestListeningToBalances(t *testing.T) {
@@ -135,19 +166,20 @@ func TestListeningToBalances(t *testing.T) {
 		t.Helper()
 		want := make([]int32, c.n)
 		for i := 0; i < c.n; i++ {
-			if !c.hot[i].has(fPktActive) {
+			if !c.nodes[i].has(fPktActive) {
 				continue
 			}
 			inFlight++
-			for _, j := range c.pktListeners[i] {
+			for _, j := range c.listeners(i) {
 				want[j]++
 			}
 		}
 		for j := range want {
-			if got := c.hot[j].listeningTo; got != want[j] {
+			if got := c.nodes[j].listeningTo; got != want[j] {
 				t.Fatalf("node %d: listeningTo = %d, want %d", j, got, want[j])
 			}
 		}
+		listenersWithinNeighbors(t, c)
 		return inFlight
 	}
 	faulty := &faults.Config{

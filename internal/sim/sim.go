@@ -235,7 +235,10 @@ func Run(cfg Config) (*Metrics, error) {
 	if cfg.Topology == nil {
 		cfg.Topology = topology.Clique(cfg.Network.N())
 	}
-	c := newCoordinator(cfg, flt)
+	c, err := newCoordinator(cfg, flt)
+	if err != nil {
+		return nil, err
+	}
 	c.run()
 	return c.finish(), nil
 }

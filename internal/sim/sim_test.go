@@ -130,7 +130,7 @@ func TestEmptyWindowPower(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range m.Power {
-		st := c.hot[i].state
+		st := c.nodes[i].state
 		held[st]++
 		if want := draws[st]; math.Abs(p-want) > 1e-9*listen {
 			t.Errorf("node %d held %v: Power %v, want %v", i, st, p, want)

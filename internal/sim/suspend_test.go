@@ -2,13 +2,13 @@ package sim
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"econcast/internal/econcast"
 	"econcast/internal/evq"
 	"econcast/internal/faults"
 	"econcast/internal/model"
+	"econcast/internal/rng"
 	"econcast/internal/topology"
 )
 
@@ -51,7 +51,10 @@ func handClique(t *testing.T, leave0, leave1 *float64, mut func(*Config)) (*coor
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newCoordinator(cfg, flt)
+	c, err := newCoordinator(cfg, flt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.start()
 	first := math.Inf(1)
 	for i := 0; i < c.n; i++ {
@@ -80,10 +83,10 @@ func TestSuspendKeepsResidual(t *testing.T) {
 	leave0 := math.Inf(1)
 	c, t0 := handClique(t, &leave0, never(), nil)
 	before, _ := c.trans.Pending(1)
-	stream := c.rngs[1]
+	stream := c.nodes[1].src
 
 	transmitAt(c, 0, t0)
-	if !c.hot[1].has(fSuspended) {
+	if !c.nodes[1].has(fSuspended) {
 		t.Fatal("the sleeper was not suspended")
 	}
 	if _, ok := c.trans.Pending(1); ok {
@@ -101,10 +104,10 @@ func TestSuspendKeepsResidual(t *testing.T) {
 	if after.Seq == before.Seq {
 		t.Fatal("the re-armed transition kept its old key")
 	}
-	if c.hot[1].has(fSuspended) {
+	if c.nodes[1].has(fSuspended) {
 		t.Fatal("still suspended after the release")
 	}
-	if c.rngs[1] != stream {
+	if c.nodes[1].src != stream {
 		t.Fatal("the freeze and release drew from the node's stream")
 	}
 }
@@ -119,10 +122,10 @@ func TestSuspendDroppedByTick(t *testing.T) {
 
 	c.now = t0 + c.packetTime/2
 	c.handleTick(1)
-	if c.hot[1].has(fSuspended) {
+	if c.nodes[1].has(fSuspended) {
 		t.Fatal("a tick during the freeze left the suspension in place")
 	}
-	stream := c.rngs[1]
+	stream := c.nodes[1].src
 
 	t1 := t0 + c.packetTime
 	leave0 = t1
@@ -132,7 +135,7 @@ func TestSuspendDroppedByTick(t *testing.T) {
 	if !ok {
 		t.Fatal("no transition after the unfreeze")
 	}
-	if c.rngs[1] == stream {
+	if c.nodes[1].src == stream {
 		t.Fatal("the unfreeze did not draw a fresh dwell")
 	}
 	if after.At == t1+(before.At-t0) {
@@ -146,9 +149,9 @@ func TestSuspendDroppedByTick(t *testing.T) {
 func TestSuspendChurnDeparture(t *testing.T) {
 	leave0, leave1 := math.Inf(1), math.Inf(1)
 	c, t0 := handClique(t, &leave0, &leave1, nil)
-	stream := c.rngs[1]
+	stream := c.nodes[1].src
 	transmitAt(c, 0, t0)
-	if !c.hot[1].has(fSuspended) {
+	if !c.nodes[1].has(fSuspended) {
 		t.Fatal("the sleeper was not suspended")
 	}
 
@@ -160,10 +163,10 @@ func TestSuspendChurnDeparture(t *testing.T) {
 	if _, ok := c.trans.Pending(1); ok {
 		t.Fatal("a departed node was re-armed")
 	}
-	if c.hot[1].has(fSuspended) {
+	if c.nodes[1].has(fSuspended) {
 		t.Fatal("a departed node kept its suspension")
 	}
-	if c.rngs[1] != stream {
+	if c.nodes[1].src != stream {
 		t.Fatal("a departed node drew from its stream")
 	}
 }
@@ -173,7 +176,10 @@ func TestSuspendChurnDeparture(t *testing.T) {
 func TestSuspendTransmitterCrash(t *testing.T) {
 	c, t0 := handClique(t, never(), never(), nil)
 	before := [3]evq.Key{}
-	streams := slices.Clone(c.rngs)
+	streams := make([]rng.Source, c.n)
+	for j := range streams {
+		streams[j] = c.nodes[j].src
+	}
 	for j := 1; j < 3; j++ {
 		before[j], _ = c.trans.Pending(j)
 	}
@@ -187,8 +193,8 @@ func TestSuspendTransmitterCrash(t *testing.T) {
 	c.flt = flt
 	c.now = tk
 	c.handleFault(0)
-	if c.hot[0].state != model.Sleep {
-		t.Fatalf("crashed transmitter in state %v", c.hot[0].state)
+	if c.nodes[0].state != model.Sleep {
+		t.Fatalf("crashed transmitter in state %v", c.nodes[0].state)
 	}
 	for j := 1; j < 3; j++ {
 		after, ok := c.trans.Pending(j)
@@ -196,8 +202,8 @@ func TestSuspendTransmitterCrash(t *testing.T) {
 		if !ok || after.At != want {
 			t.Errorf("node %d: pending %t at %v, want %v", j, ok, after.At, want)
 		}
-		if c.hot[j].has(fSuspended) || c.rngs[j] != streams[j] {
-			t.Errorf("node %d: suspended %t, stream advanced %t", j, c.hot[j].has(fSuspended), c.rngs[j] != streams[j])
+		if c.nodes[j].has(fSuspended) || c.nodes[j].src != streams[j] {
+			t.Errorf("node %d: suspended %t, stream advanced %t", j, c.nodes[j].has(fSuspended), c.nodes[j].src != streams[j])
 		}
 	}
 }
@@ -214,20 +220,20 @@ func TestSuspendDroppedByForcedSleep(t *testing.T) {
 	c.setState(1, model.Listen)
 	c.scheduleTransition(1)
 	transmitAt(c, 0, t0)
-	if !c.hot[1].has(fSuspended) {
+	if !c.nodes[1].has(fSuspended) {
 		t.Fatal("the Capture listener was not suspended")
 	}
-	if c.pktListeners[0][0] != 1 {
-		t.Fatalf("listeners %v, want node 1 first", c.pktListeners[0])
+	if c.listeners(0)[0] != 1 {
+		t.Fatalf("listeners %v, want node 1 first", c.listeners(0))
 	}
 
-	c.cores[1].Battery = 0
+	c.nodes[1].core.Battery = 0
 	c.now = t0 + c.packetTime
 	c.handlePacketEnd(0)
-	if c.hot[1].state != model.Sleep {
-		t.Fatalf("depleted listener in state %v, want forced to sleep", c.hot[1].state)
+	if c.nodes[1].state != model.Sleep {
+		t.Fatalf("depleted listener in state %v, want forced to sleep", c.nodes[1].state)
 	}
-	if c.hot[1].has(fSuspended) {
+	if c.nodes[1].has(fSuspended) {
 		t.Fatal("the forced sleep left the suspension in place")
 	}
 	if _, ok := c.trans.Pending(1); ok {
