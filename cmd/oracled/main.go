@@ -1,9 +1,9 @@
 // Command oracled is the always-on oracle/control service: a
 // fault-hardened HTTP daemon answering operating-point queries for
 // ultra-low-power broadcast fleets (see internal/serve for the
-// robustness envelope: admission control with deadlines, deterministic
-// load-shedding, singleflight dedup, a circuit breaker with a graceful
-// degrade ladder, and a crash-safe persistent solution cache).
+// robustness envelope: admission control with deadlines and a bounded
+// queue, singleflight dedup, a circuit breaker with a graceful degrade
+// ladder, and a crash-safe persistent solution cache).
 //
 //	oracled -addr :9090 -cache-dir /var/cache/econcast -timeout 5s
 //
@@ -36,7 +36,6 @@ func main() {
 		maxSolve    = flag.Duration("max-solve", 5*time.Second, "per-solve watchdog budget")
 		maxInflight = flag.Int("max-inflight", 16, "concurrent solve limit")
 		queue       = flag.Int("queue", 64, "admission queue depth beyond the inflight limit")
-		seed        = flag.Uint64("seed", 1, "seed for the deterministic shed draws")
 	)
 	flag.Parse()
 
@@ -47,7 +46,6 @@ func main() {
 		MaxInflight:    *maxInflight,
 		MaxQueue:       *queue,
 		DefaultTimeout: *timeout,
-		Seed:           *seed,
 	})
 
 	httpSrv := &http.Server{

@@ -58,8 +58,8 @@ var hotEntries = map[string][]hotEntry{
 	},
 	// The serving layer's admission decision runs once per arrival even
 	// at full overload — it is the path that must stay fast precisely
-	// when the process is drowning, so shedding and queue-full rejection
-	// must not allocate.
+	// when the process is drowning, so queue-full rejection must not
+	// allocate.
 	"econcast/internal/serve": {
 		{recv: "gate", method: "admit"},
 	},

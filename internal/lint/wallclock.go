@@ -20,9 +20,10 @@ var wallclockBanned = map[string]bool{
 // wallclockLicensed are the packages that legitimately live on the wall
 // clock: the serving layer and its daemon, where deadlines, Retry-After
 // hints, backoff waits, and breaker cool-downs are real-time quantities
-// by definition. Their *decisions* still come from seeded streams (shed
-// draws, backoff jitter — see seedflow), so chaos runs replay; only the
-// durations are real. Simulation and protocol code stays banned.
+// by definition. Their one random decision, the client's backoff
+// jitter, still comes from a seeded stream (see seedflow), so chaos runs
+// replay; only the durations are real. Simulation and protocol code
+// stays banned.
 var wallclockLicensed = map[string]bool{
 	"econcast/internal/serve": true,
 	"econcast/cmd/oracled":    true,

@@ -22,7 +22,7 @@ func benchLatencies(b *testing.B, req *Request) {
 		b.Fatal(err)
 	}
 	defer func() { _ = solver.Close() }()
-	srv := NewServer(Config{Solver: solver, Seed: 42})
+	srv := NewServer(Config{Solver: solver})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := NewClient(ClientConfig{BaseURL: ts.URL, Attempts: 2, Seed: 43})
@@ -72,7 +72,7 @@ func BenchmarkServeSolveExact(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer func() { _ = solver.Close() }()
-	srv := NewServer(Config{Solver: solver, Seed: 44})
+	srv := NewServer(Config{Solver: solver})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := NewClient(ClientConfig{BaseURL: ts.URL, Attempts: 2, Seed: 45})
@@ -105,8 +105,7 @@ func BenchmarkServeSolveExact(b *testing.B) {
 // runs once per arrival even at full overload must stay allocation-free
 // (hotalloc root) and fast.
 func BenchmarkGateAdmit(b *testing.B) {
-	g := newGate(7, 64, 256)
-	g.setShed(0.5)
+	g := newGate(64, 256)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,16 +1,12 @@
 package serve
 
-// The chaos harness: internal/faults processes and injected solver
-// pathologies composed against a synthetic heavy-traffic driver, run
-// under -race in CI. Each scenario pins one leg of the robustness
-// envelope:
+// The chaos harness: injected solver pathologies and crashes composed
+// against a synthetic heavy-traffic load, run under -race in CI. Each
+// scenario pins one leg of the robustness envelope:
 //
-//   - overload        -> deterministic shedding + queue-full 429s, the
-//     fleet still converges through client retries, and the server never
-//     answers anything outside {200, 429, 503};
-//   - brownout        -> the shed level tracks the fault schedule's
-//     harvest scale, and the shed pattern replays byte-identically for
-//     the same seed;
+//   - overload        -> queue-full 429s, the fleet still converges
+//     through client retries, and the server never answers anything
+//     outside {200, 429, 503};
 //   - stuck solver    -> the watchdog bounds every request, the breaker
 //     trips, answers degrade with labeled provenance, and the service
 //     recovers to exact answers once the solver heals;
@@ -20,7 +16,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
@@ -28,8 +23,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"econcast/internal/faults"
 )
 
 // TestChaosOverloadConverges floods a tiny-capacity server with a fleet
@@ -54,7 +47,6 @@ func TestChaosOverloadConverges(t *testing.T) {
 		Solver:      solver,
 		MaxInflight: 2,
 		MaxQueue:    2,
-		Seed:        1001,
 	})
 
 	const workers, perWorker = 8, 6
@@ -72,8 +64,8 @@ func TestChaosOverloadConverges(t *testing.T) {
 				Seed:        uint64(2000 + w),
 			})
 			for i := 0; i < perWorker; i++ {
-				// Distinct fleets per worker, repeated per iteration, so
-				// the traffic mixes singleflight dups and cache hits.
+				// Each worker repeats its own fleet, so after its first
+				// answer the worker's traffic is cache hits.
 				resp, err := client.Solve(context.Background(), cliqueReq(ObjGroupput, 3+w))
 				switch {
 				case err == nil:
@@ -82,7 +74,7 @@ func TestChaosOverloadConverges(t *testing.T) {
 					}
 					answered.Add(1)
 				case errors.Is(err, ErrExhausted):
-					exhausted.Add(1) // legitimate under overload; must not wedge
+					exhausted.Add(1)
 				default:
 					t.Errorf("worker %d: unexpected error %v", w, err)
 				}
@@ -91,84 +83,20 @@ func TestChaosOverloadConverges(t *testing.T) {
 	}
 	wg.Wait()
 
-	if answered.Load() == 0 {
-		t.Fatal("no client ever got an answer")
+	// A refused client backs off for Retry-After (at least a second)
+	// while the others drain the queue, so eight attempts are plenty.
+	if n := answered.Load(); n != workers*perWorker {
+		t.Fatalf("%d of %d requests answered, %d exhausted their retries", n, workers*perWorker, exhausted.Load())
 	}
 	st := srv.StatsSnapshot()
-	if st.Overloaded == 0 {
+	if st.QueueRejects == 0 {
 		t.Fatalf("overload run produced zero 429s: %+v", st)
 	}
 	if st.OK == 0 || st.BadRequests != 0 {
 		t.Fatalf("status mix: %+v", st)
 	}
-	t.Logf("overload: answered=%d exhausted=%d 429s=%d queue_rejects=%d coalesced=%d",
-		answered.Load(), exhausted.Load(), st.Overloaded, st.QueueRejects, st.Solver.Coalesced)
-}
-
-// TestChaosBrownoutShedsAndReplays compiles a brownout fault schedule,
-// couples the server's admission to it, and verifies (a) the shed level
-// tracks the schedule's harvest scale, (b) arrivals are refused at
-// roughly the complementary rate, and (c) an identically-seeded replay
-// produces the byte-identical refusal pattern.
-func TestChaosBrownoutShedsAndReplays(t *testing.T) {
-	set, err := faults.Compile(&faults.Config{
-		Brownout: &faults.Brownout{MeanEvery: 1e-3, MeanFor: 1e6, Scale: 0.25},
-	}, 1, 1e7, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view := set.View(0)
-	if !view.HasBrownout() {
-		t.Fatal("schedule compiled no brownout windows")
-	}
-
-	run := func() (pattern []int, shedLevel float64) {
-		srv, ts := newChaosServer(t, Config{
-			Solver: newTestSolver(t),
-			Seed:   31337,
-			Power:  view,
-		})
-		// Backdate the server's epoch one second so the schedule's first
-		// brownout window (exponential spacing, mean 1ms) is active for
-		// every arrival — the shed level is then constant across the run
-		// and the refusal pattern depends only on (seed, seq).
-		srv.start = srv.start.Add(-time.Second)
-		for i := 0; i < 120; i++ {
-			resp, err := http.Post(ts.URL+"/v1/solve", "application/json",
-				bytesReader(`{"objective":"groupput","n":4,"rho":1e-5,"listen":5e-4,"transmit":5e-4}`))
-			if err != nil {
-				t.Fatal(err)
-			}
-			_ = resp.Body.Close()
-			pattern = append(pattern, resp.StatusCode)
-		}
-		return pattern, srv.StatsSnapshot().ShedLevel
-	}
-
-	pattern, level := run()
-	// Scale 0.25 with an effectively-immediate, effectively-infinite
-	// window: the server should be shedding ~75%.
-	if level < 0.5 || level > maxShedFraction+1e-9 {
-		t.Fatalf("shed level %v does not track harvest scale 0.25", level)
-	}
-	var refused int
-	for _, code := range pattern {
-		switch code {
-		case http.StatusTooManyRequests:
-			refused++
-		case http.StatusOK:
-		default:
-			t.Fatalf("brownout run answered %d", code)
-		}
-	}
-	if refused < 60 || refused == len(pattern) {
-		t.Fatalf("brownout refused %d/120; want most-but-not-all (maxShedFraction keeps a trickle)", refused)
-	}
-
-	replay, _ := run()
-	if !reflect.DeepEqual(pattern, replay) {
-		t.Fatal("identically-seeded brownout replay diverged")
-	}
+	t.Logf("overload: answered=%d exhausted=%d 429s=%d coalesced=%d",
+		answered.Load(), exhausted.Load(), st.QueueRejects, st.Solver.Coalesced)
 }
 
 // TestChaosStuckSolverBreakerRecovers wedges the solver completely (a
@@ -192,7 +120,7 @@ func TestChaosStuckSolverBreakerRecovers(t *testing.T) {
 		return solveOracle(ctx, c)
 	}
 
-	_, ts := newChaosServer(t, Config{Solver: solver, Seed: 5})
+	_, ts := newChaosServer(t, Config{Solver: solver})
 	client := NewClient(ClientConfig{BaseURL: ts.URL, Attempts: 1, Seed: 6})
 
 	// Two distinct requests: both hit the watchdog, degrade, and trip
@@ -258,7 +186,7 @@ func TestChaosKillRestartRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts1 := newChaosServer(t, Config{Solver: solver1, Seed: 9})
+	_, ts1 := newChaosServer(t, Config{Solver: solver1})
 	client := NewClient(ClientConfig{BaseURL: ts1.URL, Attempts: 3, Seed: 10})
 	golden := make([]*Response, len(reqs))
 	for i, req := range reqs {
@@ -300,7 +228,7 @@ func TestChaosKillRestartRecovers(t *testing.T) {
 	if st.Skipped == 0 || st.Loaded == 0 || st.Loaded >= len(reqs) {
 		t.Fatalf("recovery stats after kill: %+v", st)
 	}
-	_, ts2 := newChaosServer(t, Config{Solver: solver2, Seed: 9})
+	_, ts2 := newChaosServer(t, Config{Solver: solver2})
 	client2 := NewClient(ClientConfig{BaseURL: ts2.URL, Attempts: 3, Seed: 10})
 	var cached, resolved int
 	for i, req := range reqs {

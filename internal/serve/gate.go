@@ -2,44 +2,26 @@ package serve
 
 import (
 	"context"
-	"math"
 	"sync/atomic"
-
-	"econcast/internal/rng"
 )
 
-// shedDomain namespaces the shed-decision stream within the request
-// seed, mirroring the faults layer's per-process derivation discipline.
-const shedDomain uint64 = 0x5ded
-
-// gate is the admission controller: a bounded concurrency semaphore, a
-// bounded wait queue, and a deterministic probabilistic shedder.
-//
-// The shed decision for arrival number seq at shed level f is the pure
-// function "DeriveSeed(seed, shedDomain, seq) as a uniform in [0,1) is
-// below f" — no wall-clock, no shared RNG stream, no mutation. Replay a
-// chaos run with the same seed and the same arrival order and every
-// shed decision lands on the same request, byte-identically (the
-// deterministic shedding argument of DESIGN.md §10). The queue-full
-// rejection is the load-dependent backstop behind it.
+// gate is the admission controller: a bounded wait queue in front of a
+// concurrency semaphore. An arrival that finds the queue full is
+// refused at once; every other arrival waits (up to its context) for a
+// slot.
 //
 // The semaphore is one channel viewed through two direction-typed
 // fields: admit sends a token (acq), release receives it back (rel).
-// admit is a hotalloc root — the shed path runs for every arrival even
-// at 100% overload, so it must not allocate.
+// admit is a hotalloc root — it runs for every arrival even at 100%
+// overload, so it must not allocate.
 type gate struct {
-	seed        uint64
 	maxInflight int
 	maxQueue    int64
 
 	acq chan<- struct{}
 	rel <-chan struct{}
 
-	seq      atomic.Uint64 // arrival counter; the shed draw's key
-	queued   atomic.Int64  // arrivals blocked on the semaphore
-	shedBits atomic.Uint64 // float64 bits of the current shed fraction
-
-	sheds   atomic.Uint64 // probabilistic sheds
+	queued  atomic.Int64  // arrivals blocked on the semaphore
 	rejects atomic.Uint64 // queue-full rejections
 }
 
@@ -48,12 +30,11 @@ type admitVerdict uint8
 
 const (
 	admitOK   admitVerdict = iota // slot acquired; caller must release
-	admitShed                     // deterministically shed; retry later
 	admitBusy                     // queue full; retry later
 	admitGone                     // caller's context died while queued
 )
 
-func newGate(seed uint64, maxInflight, maxQueue int) *gate {
+func newGate(maxInflight, maxQueue int) *gate {
 	if maxInflight <= 0 {
 		maxInflight = 16
 	}
@@ -62,7 +43,6 @@ func newGate(seed uint64, maxInflight, maxQueue int) *gate {
 	}
 	sem := make(chan struct{}, maxInflight)
 	return &gate{
-		seed:        seed,
 		maxInflight: maxInflight,
 		maxQueue:    int64(maxQueue),
 		acq:         sem,
@@ -70,15 +50,10 @@ func newGate(seed uint64, maxInflight, maxQueue int) *gate {
 	}
 }
 
-// admit decides the fate of one arrival: shed, reject, or block (up to
-// ctx) for a concurrency slot. On admitOK the caller owns a slot and
-// must call release exactly once.
+// admit decides the fate of one arrival: reject it if the queue is
+// full, else block (up to ctx) for a concurrency slot. On admitOK the
+// caller owns a slot and must call release exactly once.
 func (g *gate) admit(ctx context.Context) admitVerdict {
-	seq := g.seq.Add(1)
-	if frac := math.Float64frombits(g.shedBits.Load()); frac > 0 && shedDraw(g.seed, seq) < frac {
-		g.sheds.Add(1)
-		return admitShed
-	}
 	if g.queued.Add(1) > g.maxQueue {
 		g.queued.Add(-1)
 		g.rejects.Add(1)
@@ -107,37 +82,8 @@ func (g *gate) release() {
 	<-g.rel
 }
 
-// shedDraw maps (seed, seq) to a uniform in [0, 1) through splitmix
-// mixing; pure, so chaos replays are byte-identical.
-func shedDraw(seed, seq uint64) float64 {
-	return float64(rng.DeriveSeed(seed, shedDomain, seq)>>11) / (1 << 53)
-}
-
-// maxShedFraction caps the shed level: even in a full brownout a trickle
-// of requests flows, so recovery is observable without an external
-// probe. "Degraded but bounded", not "off".
-const maxShedFraction = 0.95
-
-// setShed sets the probabilistic shed fraction (clamped to
-// [0, maxShedFraction]). The server derives it from load and the
-// brownout schedule; 0 disables shedding.
-func (g *gate) setShed(frac float64) {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > maxShedFraction {
-		frac = maxShedFraction
-	}
-	g.shedBits.Store(math.Float64bits(frac))
-}
-
-// shedLevel returns the current shed fraction.
-func (g *gate) shedLevel() float64 {
-	return math.Float64frombits(g.shedBits.Load())
-}
-
-// retryAfterSeconds advises a shed or rejected client how long to back
-// off: proportional to queue pressure, at least one second, deliberately
+// retryAfterSeconds advises a rejected client how long to back off:
+// proportional to queue pressure, at least one second, deliberately
 // coarse (it is a hint, not a schedule).
 func (g *gate) retryAfterSeconds() int {
 	q := g.queued.Load()

@@ -1,24 +1,24 @@
 // Package serve is the always-on oracle/control plane: a fault-hardened
 // serving layer that answers "optimal rates for this fleet" queries by
 // wrapping the memoized oracle (internal/oracle) behind a full
-// robustness envelope — admission control with propagated deadlines,
-// a bounded queue with deterministic load-shedding, singleflight dedup
-// on the oracle's canonical cache key, a circuit breaker around the LP
-// solver with a graceful degrade ladder, and a crash-safe persistent
-// solution cache.
+// robustness envelope — admission control with propagated deadlines
+// and a bounded queue, singleflight dedup on the oracle's canonical
+// cache key, a circuit breaker around the LP solver with a graceful
+// degrade ladder, and a crash-safe persistent solution cache.
 //
 // The paper's protocols only reach capacity when nodes run at the
 // oracle-computed operating point, and both the throughput-optimal CSMA
 // line and the dynamic-topology broadcast sequel (PAPERS.md) re-adapt
 // parameters on every fleet change, so a production fleet re-queries
 // this service continuously. The design goal is therefore *bounded
-// degradation*: under overload the service sheds deterministically with
-// 429 + Retry-After; with the solver slow, stuck, or failing it serves
-// provenance-labeled cached or closed-form approximations instead of
-// erroring; after a crash it recovers its persistent cache record by
-// record, skipping corruption. The chaos harness in chaos_test.go
-// composes internal/faults processes against a synthetic heavy-traffic
-// driver to prove each of those properties under -race.
+// degradation*: under overload the service refuses what its queue cannot
+// hold with 429 + Retry-After; with the solver slow, stuck, or failing
+// it serves provenance-labeled cached or closed-form approximations
+// instead of erroring; after a crash it recovers its persistent cache
+// record by record, skipping corruption. The chaos harness in
+// chaos_test.go composes injected solver stalls, crashes and cache
+// corruption against synthetic heavy traffic to prove each of
+// those properties under -race.
 //
 // Unlike the simulators, this package legitimately lives on the wall
 // clock (deadlines, Retry-After, breaker cool-downs are real-time
@@ -245,8 +245,9 @@ func (t *TopoSpec) build(n int) (*topology.Topology, error) {
 		if t.Rows <= 0 || t.Cols <= 0 {
 			return nil, fmt.Errorf("%w: grid topology needs rows > 0 and cols > 0", ErrBadRequest)
 		}
-		if t.Rows*t.Cols != n {
-			return nil, fmt.Errorf("%w: grid %dx%d has %d nodes, fleet has %d", ErrBadRequest, t.Rows, t.Cols, t.Rows*t.Cols, n)
+		// Bounding each side by n first keeps the product from wrapping.
+		if t.Rows > n || t.Cols > n || t.Rows*t.Cols != n {
+			return nil, fmt.Errorf("%w: grid %dx%d does not have the fleet's %d nodes", ErrBadRequest, t.Rows, t.Cols, n)
 		}
 		topo = topology.Grid(t.Rows, t.Cols)
 	case "ring", "line", "star":
@@ -370,6 +371,9 @@ func decodeResponse(b []byte) (*Response, error) {
 	}
 	hasUpper := rest[0]
 	rest = rest[1:]
+	if hasUpper > 1 {
+		return nil, errCorruptValue // not encodeResponse's output
+	}
 	if hasUpper == 1 {
 		up, rest2, err := takeResult(rest)
 		if err != nil {

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -28,6 +30,7 @@ func TestCompileValidates(t *testing.T) {
 		{"clique with topology", Request{Objective: ObjGroupput, N: 4, Rho: 1e-5, Listen: 5e-4, Transmit: 5e-4, Topology: &TopoSpec{Kind: "ring"}}},
 		{"bounds without topology", Request{Objective: ObjBounds, N: 4, Rho: 1e-5, Listen: 5e-4, Transmit: 5e-4}},
 		{"grid size mismatch", Request{Objective: ObjBounds, N: 5, Rho: 1e-5, Listen: 5e-4, Transmit: 5e-4, Topology: &TopoSpec{Kind: "grid", Rows: 2, Cols: 2}}},
+		{"grid product overflows", Request{Objective: ObjBounds, N: 4, Rho: 1e-5, Listen: 5e-4, Transmit: 5e-4, Topology: &TopoSpec{Kind: "grid", Rows: 4611686018427387905, Cols: 4}}},
 		{"unknown topology", Request{Objective: ObjBounds, N: 4, Rho: 1e-5, Listen: 5e-4, Transmit: 5e-4, Topology: &TopoSpec{Kind: "torus"}}},
 		{"exact too large", Request{Objective: ObjExact, N: 32, Rho: 1e-5, Listen: 5e-4, Transmit: 5e-4, Topology: &TopoSpec{Kind: "ring"}}},
 		{"oversized fleet", Request{Objective: ObjGroupput, N: maxFleet + 1, Rho: 1e-5, Listen: 5e-4, Transmit: 5e-4}},
@@ -54,62 +57,8 @@ func TestCompileKeySeparatesObjectives(t *testing.T) {
 	}
 }
 
-func TestShedDrawDeterministic(t *testing.T) {
-	for seq := uint64(1); seq <= 100; seq++ {
-		a, b := shedDraw(42, seq), shedDraw(42, seq)
-		if a != b {
-			t.Fatalf("shedDraw not deterministic at seq %d", seq)
-		}
-		if a < 0 || a >= 1 {
-			t.Fatalf("shedDraw out of [0,1): %v", a)
-		}
-	}
-	// Distinct seeds must give distinct streams (overwhelmingly).
-	same := 0
-	for seq := uint64(1); seq <= 100; seq++ {
-		if shedDraw(1, seq) == shedDraw(2, seq) {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("seeds 1 and 2 collide on %d/100 draws", same)
-	}
-}
-
-// TestGateShedReplay drives two gates with the same seed through the
-// same arrival sequence and requires bit-identical verdicts — the
-// deterministic load-shedding contract.
-func TestGateShedReplay(t *testing.T) {
-	run := func() []admitVerdict {
-		g := newGate(7, 4, 8)
-		g.setShed(0.5)
-		out := make([]admitVerdict, 200)
-		for i := range out {
-			v := g.admit(context.Background())
-			out[i] = v
-			if v == admitOK {
-				g.release()
-			}
-		}
-		return out
-	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed, same arrivals, different shed decisions")
-	}
-	sheds := 0
-	for _, v := range a {
-		if v == admitShed {
-			sheds++
-		}
-	}
-	if sheds < 60 || sheds > 140 {
-		t.Fatalf("at shed level 0.5, got %d/200 sheds", sheds)
-	}
-}
-
 func TestGateQueueFullRejects(t *testing.T) {
-	g := newGate(1, 1, 1)
+	g := newGate(1, 1)
 	if v := g.admit(context.Background()); v != admitOK {
 		t.Fatalf("first admit: %v", v)
 	}
@@ -135,7 +84,7 @@ func TestGateQueueFullRejects(t *testing.T) {
 }
 
 func TestGateAdmitGoneOnDeadCtx(t *testing.T) {
-	g := newGate(1, 1, 4)
+	g := newGate(1, 4)
 	if v := g.admit(context.Background()); v != admitOK {
 		t.Fatalf("first admit: %v", v)
 	}
@@ -240,6 +189,41 @@ func TestSingleflightCoalesces(t *testing.T) {
 	}
 }
 
+// TestSolverCoalescesConcurrentMisses sends one uncached request from
+// many callers at once, as every node of a re-adapting fleet does: the
+// LP must run once, and every caller gets its answer.
+func TestSolverCoalescesConcurrentMisses(t *testing.T) {
+	s := newTestSolver(t)
+	var solves atomic.Int64
+	unblock := make(chan struct{})
+	s.solveInner = func(ctx context.Context, c *compiled) (*Response, error) {
+		solves.Add(1)
+		<-unblock
+		return solveOracle(ctx, c)
+	}
+	const callers = 8
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := s.Solve(context.Background(), cliqueReq(ObjGroupput, 7))
+			if err != nil || resp.Provenance != ProvExact {
+				t.Errorf("caller: %v %+v", err, resp)
+			}
+		}()
+	}
+	// Wait until every caller is either solving or waiting on a solve.
+	for solves.Load()+int64(s.Stats().Coalesced) < callers {
+		time.Sleep(time.Millisecond)
+	}
+	close(unblock)
+	wg.Wait()
+	if n := solves.Load(); n != 1 {
+		t.Fatalf("%d concurrent identical misses ran %d solves, want 1", callers, n)
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	in := &Response{
 		Result:     Result{Throughput: math.Pi, Alpha: []float64{0.1, 0.2, 0.3}, Beta: []float64{0.4, 0.5, 0.6}},
@@ -265,6 +249,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeResponse(append(raw, 0)); err == nil {
 		t.Fatal("trailing garbage decoded cleanly")
+	}
+	// Only 0 and 1 mark the upper bound's absence or presence; any other
+	// byte would decode to a value that re-encodes to different bytes.
+	noUpper := encodeResponse(&Response{Result: in.Result})
+	noUpper[len(noUpper)-1] = 2
+	if _, err := decodeResponse(noUpper); !errors.Is(err, errCorruptValue) {
+		t.Fatalf("hasUpper byte 2: want errCorruptValue, got %v", err)
 	}
 }
 
@@ -421,7 +412,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 func TestServerEndToEnd(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Seed: 1})
+	srv, ts := newTestServer(t, Config{})
 	client := NewClient(ClientConfig{BaseURL: ts.URL, Seed: 2})
 
 	resp, err := client.Solve(context.Background(), cliqueReq(ObjGroupput, 6))
@@ -475,43 +466,61 @@ func TestServerBadRequestIs400(t *testing.T) {
 	}
 }
 
-func TestServerShedsWith429(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Seed: 11})
-	srv.SetShed(maxShedFraction)
-	var shed, ok int
-	for i := 0; i < 60; i++ {
-		resp, err := http.Post(ts.URL+"/v1/solve", "application/json",
-			bytesReader(`{"objective":"groupput","n":4,"rho":1e-5,"listen":5e-4,"transmit":5e-4}`))
+// TestServerQueueFullIs429 fills a one-slot, one-place server: the
+// arrival that finds the queue full gets 429 with Retry-After without
+// reaching the solver, and once the slot frees the server answers 200
+// again.
+func TestServerQueueFullIs429(t *testing.T) {
+	solver := newTestSolver(t)
+	entered := make(chan struct{}, 1)
+	unblock := make(chan struct{})
+	solver.solveInner = func(ctx context.Context, c *compiled) (*Response, error) {
+		entered <- struct{}{}
+		<-unblock
+		return solveOracle(ctx, c)
+	}
+	srv, ts := newTestServer(t, Config{Solver: solver, MaxInflight: 1, MaxQueue: 1})
+	post := func(n int) (int, string) {
+		body := fmt.Sprintf(`{"objective":"groupput","n":%d,"rho":1e-5,"listen":5e-4,"transmit":5e-4}`, n)
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytesReader(body))
 		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			shed++
-			if resp.Header.Get("Retry-After") == "" {
-				t.Fatal("429 without Retry-After")
-			}
-		} else if resp.StatusCode == http.StatusOK {
-			ok++
-		} else {
-			t.Fatalf("unexpected status %d", resp.StatusCode)
+			t.Error(err)
+			return 0, ""
 		}
 		_ = resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get("Retry-After")
 	}
-	if shed < 40 {
-		t.Fatalf("at shed level %.2f only %d/60 sheds", maxShedFraction, shed)
+
+	// One request holds the slot inside the solver, one waits in the
+	// queue; both are answered once the solver is released.
+	codes := make(chan int, 2)
+	go func() { c, _ := post(4); codes <- c }()
+	<-entered
+	go func() { c, _ := post(5); codes <- c }()
+	for srv.gate.queued.Load() == 0 {
+		time.Sleep(time.Millisecond)
 	}
-	if st := srv.StatsSnapshot(); st.Sheds == 0 || st.Overloaded == 0 {
-		t.Fatalf("shed counters empty: %+v", st)
+
+	code, after := post(6)
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("queue-full arrival: status %d, want 429", code)
 	}
-	srv.SetShed(0)
-	resp, err := http.Post(ts.URL+"/v1/solve", "application/json",
-		bytesReader(`{"objective":"groupput","n":4,"rho":1e-5,"listen":5e-4,"transmit":5e-4}`))
-	if err != nil {
-		t.Fatal(err)
+	if after == "" {
+		t.Fatal("429 without Retry-After")
 	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-recovery status %d", resp.StatusCode)
+	if st := srv.StatsSnapshot(); st.QueueRejects != 1 {
+		t.Fatalf("queue_rejects = %d after one refusal", st.QueueRejects)
+	}
+
+	solver.solveInner = solveOracle
+	close(unblock)
+	for i := 0; i < 2; i++ {
+		if c := <-codes; c != http.StatusOK {
+			t.Fatalf("held request answered %d", c)
+		}
+	}
+	if code, _ := post(6); code != http.StatusOK {
+		t.Fatalf("post-recovery status %d", code)
 	}
 }
 

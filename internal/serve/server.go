@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"econcast/internal/faults"
 	"econcast/internal/oracle"
 )
 
@@ -24,13 +23,11 @@ type Config struct {
 	// DefaultTimeout is the per-request deadline applied when the
 	// request does not carry a tighter one (default 10s).
 	DefaultTimeout time.Duration
-	// Seed drives the deterministic shed draws (and nothing else).
+	// Seed is ignored: admission makes no random decisions.
+	//
+	// Deprecated: kept only because the benchmark module still sets it;
+	// it goes when the benchmark stops doing so (ROADMAP.md).
 	Seed uint64
-	// Power optionally couples admission to a fault schedule: during a
-	// brownout window the server sheds harder, mimicking a control node
-	// whose own harvested budget is collapsing. The zero NodeView means
-	// full power forever.
-	Power faults.NodeView
 }
 
 // Server is the HTTP face of the service:
@@ -39,10 +36,10 @@ type Config struct {
 //	GET  /healthz   — liveness
 //	GET  /statz     — counters: admission, provenance, breaker, caches
 //
-// Every arrival passes the admission gate before any work happens:
-// deterministically shed and queue-full arrivals get 429 + Retry-After
-// without touching the solver, so overload degrades to fast, replayable
-// refusals instead of timeouts.
+// Every arrival passes the admission gate before any work happens: an
+// arrival that finds the queue full gets 429 + Retry-After without
+// touching the solver, so overload degrades to fast refusals instead of
+// timeouts.
 type Server struct {
 	cfg   Config
 	gate  *gate
@@ -51,7 +48,6 @@ type Server struct {
 	requests atomic.Uint64
 	oks      atomic.Uint64
 	bads     atomic.Uint64
-	retries  atomic.Uint64 // 429s issued
 	fails    atomic.Uint64 // 5xx issued
 }
 
@@ -63,7 +59,7 @@ func NewServer(cfg Config) *Server {
 	}
 	return &Server{
 		cfg:   cfg,
-		gate:  newGate(cfg.Seed, cfg.MaxInflight, cfg.MaxQueue),
+		gate:  newGate(cfg.MaxInflight, cfg.MaxQueue),
 		start: time.Now(),
 	}
 }
@@ -77,38 +73,8 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// SetShed overrides the shed fraction directly (operators and tests);
-// the brownout coupling still takes the max of this floor and the
-// schedule's demand at each arrival.
-func (s *Server) SetShed(frac float64) {
-	s.gate.setShed(frac)
-}
-
-// refreshShed recomputes the shed level from the brownout schedule.
-// During an outage window the harvest scale drops below 1 and the
-// server sheds the complementary fraction: at scale 0.25 it refuses
-// ~75% of arrivals, keeping the surviving load proportional to the
-// energy actually available.
-func (s *Server) refreshShed() {
-	if !s.cfg.Power.HasBrownout() {
-		return
-	}
-	elapsed := time.Since(s.start).Seconds()
-	scale := s.cfg.Power.HarvestScale(elapsed)
-	want := 1 - scale
-	if want < 0 {
-		want = 0
-	}
-	if s.gate.shedLevel() < want {
-		s.gate.setShed(want)
-	} else if scale >= 1 && s.gate.shedLevel() > 0 {
-		s.gate.setShed(0) // window over: recover
-	}
-}
-
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	s.refreshShed()
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
 	defer cancel()
@@ -116,8 +82,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	switch s.gate.admit(ctx) {
 	case admitOK:
 		defer s.gate.release()
-	case admitShed, admitBusy:
-		s.retries.Add(1)
+	case admitBusy:
 		w.Header().Set("Retry-After", strconv.Itoa(s.gate.retryAfterSeconds()))
 		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "overloaded"})
 		return
@@ -155,17 +120,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // Stats is the /statz document.
 type Stats struct {
-	UptimeSeconds float64           `json:"uptime_seconds"`
-	Requests      uint64            `json:"requests"`
-	OK            uint64            `json:"ok"`
-	BadRequests   uint64            `json:"bad_requests"`
-	Overloaded    uint64            `json:"overloaded"`
-	Failures      uint64            `json:"failures"`
-	ShedLevel     float64           `json:"shed_level"`
-	Sheds         uint64            `json:"sheds"`
-	QueueRejects  uint64            `json:"queue_rejects"`
-	Solver        SolverStats       `json:"solver"`
-	MemoCache     oracle.CacheStats `json:"memo_cache"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	Requests      uint64  `json:"requests"`
+	OK            uint64  `json:"ok"`
+	BadRequests   uint64  `json:"bad_requests"`
+	Failures      uint64  `json:"failures"`
+	// Sheds is always 0: admission only rejects on a full queue, which
+	// QueueRejects counts.
+	//
+	// Deprecated: kept only because the benchmark module still reads
+	// it; it goes when the benchmark stops doing so (ROADMAP.md).
+	Sheds uint64 `json:"sheds"`
+	// QueueRejects counts queue-full rejections, i.e. every 429.
+	QueueRejects uint64            `json:"queue_rejects"`
+	Solver       SolverStats       `json:"solver"`
+	MemoCache    oracle.CacheStats `json:"memo_cache"`
 }
 
 // StatsSnapshot collects the full counter document.
@@ -175,10 +144,7 @@ func (s *Server) StatsSnapshot() Stats {
 		Requests:      s.requests.Load(),
 		OK:            s.oks.Load(),
 		BadRequests:   s.bads.Load(),
-		Overloaded:    s.retries.Load(),
 		Failures:      s.fails.Load(),
-		ShedLevel:     s.gate.shedLevel(),
-		Sheds:         s.gate.sheds.Load(),
 		QueueRejects:  s.gate.rejects.Load(),
 		Solver:        s.cfg.Solver.Stats(),
 		MemoCache:     oracle.CacheStatsSnapshot(),
