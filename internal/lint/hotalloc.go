@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"econcast/internal/lint/flow"
 )
 
 // hotEntry names one event-loop entry point: a method on a receiver type
@@ -66,15 +64,11 @@ var hotEntries = map[string][]hotEntry{
 }
 
 // HotAlloc flags allocation sites inside the simulators' event-loop call
-// trees: make, append, and map literals (as before), plus — now that the
-// analysis is flow-sensitive over internal/lint/flow — capturing
-// function literals, values boxed into empty interfaces at call sites,
-// and loop-invariant makes that provably do not escape their iteration,
-// which earn a "hoistable" finding whose hint names the x = x[:0] reslice
-// for the make([]T, 0, cap) shape. The event loops are required to be
-// allocation-free in steady state (see internal/sim/alloc_test.go); an
-// allocation that is genuinely one-time or amortized earns a per-line
-// `//lint:allow hotalloc <reason>`.
+// trees: make, append, map literals, capturing function literals, and
+// values boxed into empty interfaces at call sites. The event loops are
+// required to be allocation-free in steady state (see
+// internal/sim/alloc_test.go); an allocation that is genuinely one-time
+// or amortized earns a per-line `//lint:allow hotalloc <reason>`.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "allocation (make/append/map literal/closure/interface boxing) inside a simulator event loop",
@@ -129,7 +123,6 @@ var HotAlloc = &Analyzer{
 
 // checkHotFunc reports the allocation sites of one hot function.
 func checkHotFunc(p *Pass, fd *ast.FuncDecl) {
-	hoist := hoistableMakes(p, fd)
 	panicSpans := panicArgSpans(fd)
 	inPanicArg := func(pos token.Pos) bool {
 		for _, s := range panicSpans {
@@ -147,11 +140,7 @@ func checkHotFunc(p *Pass, fd *ast.FuncDecl) {
 				if b, ok := p.Info.Uses[id].(*types.Builtin); ok {
 					switch b.Name() {
 					case "make", "append":
-						if how, ok := hoist[n]; ok {
-							p.Reportf(n.Pos(), "make in hot path %s is loop-invariant and does not escape its iteration; hoist it above the loop and reuse the buffer (%s)", fd.Name.Name, how)
-						} else {
-							p.Reportf(n.Pos(), "%s in hot path %s; hoist the allocation out of the event loop or add //lint:allow hotalloc with a justification", b.Name(), fd.Name.Name)
-						}
+						p.Reportf(n.Pos(), "%s in hot path %s; hoist the allocation out of the event loop or add //lint:allow hotalloc with a justification", b.Name(), fd.Name.Name)
 					}
 					return true
 				}
@@ -282,163 +271,6 @@ func capturesVariables(p *Pass, lit *ast.FuncLit) bool {
 		return true
 	})
 	return captures
-}
-
-// hoistableMakes finds `x := make(...)` statements inside loops of fd
-// whose arguments are loop-invariant (every reaching definition of every
-// argument variable lies outside the loop) and whose result provably
-// does not escape its iteration, each mapped to the reuse hint its
-// finding carries. Those allocations can always be replaced by a buffer
-// reused across iterations; for the make([]T, 0, cap) shape the reuse is
-// a reslice to x[:0] in the loop.
-func hoistableMakes(p *Pass, fd *ast.FuncDecl) map[*ast.CallExpr]string {
-	found := make(map[*ast.CallExpr]string)
-
-	// Innermost enclosing loop for every node of interest.
-	var g *flow.Graph
-	var reach *flow.Reach
-	build := func() {
-		if g != nil {
-			return
-		}
-		g = flow.Build(fd.Body)
-		var fields []*ast.FieldList
-		fields = append(fields, fd.Recv)
-		if fd.Type.Params != nil {
-			fields = append(fields, fd.Type.Params)
-		}
-		if fd.Type.Results != nil {
-			fields = append(fields, fd.Type.Results)
-		}
-		reach = flow.Reaching(g, p.Info, fields...)
-	}
-
-	var loops []ast.Node // enclosing loop stack
-	var visit func(n ast.Node) bool
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ForStmt:
-			loops = append(loops, n)
-			ast.Inspect(n.Body, visit)
-			loops = loops[:len(loops)-1]
-			return false
-		case *ast.RangeStmt:
-			loops = append(loops, n)
-			ast.Inspect(n.Body, visit)
-			loops = loops[:len(loops)-1]
-			return false
-		case *ast.FuncLit:
-			return false // a literal's body is its own scope
-		case *ast.AssignStmt:
-			if len(loops) == 0 {
-				return true
-			}
-			loop := loops[len(loops)-1]
-			if how, call, ok := hoistableAssign(p, loop, n, &reach, build); ok {
-				found[call] = how
-			}
-		}
-		return true
-	}
-	ast.Inspect(fd.Body, visit)
-	return found
-}
-
-// hoistableAssign decides whether one in-loop assignment is a hoistable
-// make, and if so returns its reuse hint.
-func hoistableAssign(p *Pass, loop ast.Node, as *ast.AssignStmt, reach **flow.Reach, build func()) (string, *ast.CallExpr, bool) {
-	if as.Tok != token.DEFINE || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-		return "", nil, false
-	}
-	lhs, ok := as.Lhs[0].(*ast.Ident)
-	if !ok || lhs.Name == "_" {
-		return "", nil, false
-	}
-	call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-	if !ok {
-		return "", nil, false
-	}
-	fun, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return "", nil, false
-	}
-	if b, ok := p.Info.Uses[fun].(*types.Builtin); !ok || b.Name() != "make" {
-		return "", nil, false
-	}
-
-	build()
-
-	// Loop-invariant arguments: every variable read by a make argument
-	// must have all its reaching definitions outside the loop.
-	for _, arg := range call.Args[1:] {
-		invariant := true
-		ast.Inspect(arg, func(m ast.Node) bool {
-			id, ok := m.(*ast.Ident)
-			if !ok || !invariant {
-				return invariant
-			}
-			v, ok := p.Info.Uses[id].(*types.Var)
-			if !ok || v.IsField() {
-				return true
-			}
-			defs, ok := (*reach).DefsAt(v, id.Pos())
-			if !ok {
-				invariant = false
-				return false
-			}
-			for _, d := range defs {
-				if d.Node != nil && d.Node.Pos() >= loop.Pos() && d.Node.End() <= loop.End() {
-					invariant = false
-					return false
-				}
-			}
-			return true
-		})
-		if !invariant {
-			return "", nil, false
-		}
-	}
-
-	// Iteration-local result: the made value must not escape the loop
-	// body (returned, stored elsewhere, captured, appended into an
-	// accumulator...).
-	v, ok := p.Info.Defs[lhs].(*types.Var)
-	if !ok {
-		return "", nil, false
-	}
-	body := loopBody(loop)
-	if esc := flow.EscapesRegion(p.Info, body, v); esc.Class != flow.Local {
-		return "", nil, false
-	}
-
-	if zeroLenSliceMake(p, call) {
-		return "x = x[:0] each iteration", call, true
-	}
-	return "reuse a preallocated buffer across iterations", call, true
-}
-
-func loopBody(loop ast.Node) *ast.BlockStmt {
-	switch l := loop.(type) {
-	case *ast.ForStmt:
-		return l.Body
-	case *ast.RangeStmt:
-		return l.Body
-	}
-	return nil
-}
-
-// zeroLenSliceMake reports whether call has the make([]T, 0, cap) shape,
-// the one a reslice can reuse: non-zero lengths rely on fresh zeroing,
-// and maps need a clear loop.
-func zeroLenSliceMake(p *Pass, call *ast.CallExpr) bool {
-	if len(call.Args) != 3 {
-		return false
-	}
-	if _, isSlice := p.Info.TypeOf(call).Underlying().(*types.Slice); !isSlice {
-		return false
-	}
-	ltv, ok := p.Info.Types[call.Args[1]]
-	return ok && ltv.Value != nil && ltv.Value.String() == "0"
 }
 
 // funcDecls indexes the package's function and method declarations with

@@ -20,9 +20,9 @@
 //     internal/sweep, internal/serve and cmd/oracled, the only packages
 //     licensed to spawn concurrency.
 //   - errdrop: discarded error return values.
-//   - hotalloc: make/append/map-literal allocation sites reachable from
-//     the simulators' event loops, which must stay allocation-free in
-//     steady state.
+//   - hotalloc: make/append/map-literal, capturing-closure and
+//     interface-boxing allocation sites reachable from the simulators'
+//     event loops, which must stay allocation-free in steady state.
 //   - chandir: channels crossing the asim broker-node boundary
 //     must be declared with a direction, and select is confined to the
 //     licensed event loops, so the request-reply discipline that makes
@@ -30,7 +30,8 @@
 //   - seedflow: every seed reaching rng.New, rng.DeriveSeed's base, a
 //     Seed struct field, or a seed-named parameter must derive from
 //     rng.DeriveSeed (or be a constant / already-derived value), never
-//     from additive or xor arithmetic, which can collide.
+//     from additive or xor arithmetic, which can collide. A local is
+//     chased through every assignment to it, reachable or not.
 //   - sharedstate: a mutable determinism-critical pointer (*rng.Source,
 //     *stats.Accumulator, ...) must not be shared across goroutines, by
 //     closure capture or by storing one value into several

@@ -106,15 +106,13 @@ func TestFixtures(t *testing.T) {
 		{"hotalloc/faults-outside-hot-pkg", filepath.Join("hotalloc", "faults"), "econcast/internal/viz", HotAlloc, true},
 		{"hotalloc/evq-heap-tree", filepath.Join("hotalloc", "evq"), "econcast/internal/evq", HotAlloc, false},
 		{"hotalloc/evq-outside-hot-pkg", filepath.Join("hotalloc", "evq"), "econcast/internal/viz", HotAlloc, true},
-		{"hotalloc/shard-coordinator-tree", filepath.Join("hotalloc", "shard"), "econcast/internal/sim", HotAlloc, false},
-		{"hotalloc/shard-outside-hot-pkg", filepath.Join("hotalloc", "shard"), "econcast/internal/viz", HotAlloc, true},
 		{"hotalloc/flow-sensitive", filepath.Join("hotalloc", "flow"), "econcast/internal/sim", HotAlloc, false},
 		{"hotalloc/flow-outside-hot-pkg", filepath.Join("hotalloc", "flow"), "econcast/internal/viz", HotAlloc, true},
 		{"chandir", "chandir", "econcast/internal/asim", ChanDir, false},
 		{"chandir/outside-channel-pkg", "chandir", "econcast/internal/viz", ChanDir, true},
 		{"seedflow", "seedflow", "econcast/internal/experiments", SeedFlow, false},
 		{"seedflow/inside-rng", filepath.Join("seedflow", "exempt"), "econcast/internal/rng", SeedFlow, true},
-		{"seedflow/path-sensitive", filepath.Join("seedflow", "reassign"), "econcast/internal/experiments", SeedFlow, false},
+		{"seedflow/reassign", filepath.Join("seedflow", "reassign"), "econcast/internal/experiments", SeedFlow, false},
 		{"sharedstate", "sharedstate", "econcast/internal/asim", SharedState, false},
 		{"sharedstate/clean-handoffs", filepath.Join("sharedstate", "clean"), "econcast/internal/asim", SharedState, true},
 		{"unitflow", "unitflow", "econcast/internal/sim", UnitFlow, false},
@@ -164,29 +162,6 @@ func equalExpectations(a, b []expectation) bool {
 		}
 	}
 	return true
-}
-
-// TestHoistHint pins hotalloc's hoistable-make message: the flow
-// fixture's one loop-invariant, non-escaping make([]T, 0, cap) is the
-// only hoistable finding, and it carries the reslice hint.
-func TestHoistHint(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDirAs(filepath.Join("testdata", "src", "hotalloc", "flow"), "econcast/internal/sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hoistable []string
-	for _, f := range Check([]*Package{pkg}, []*Analyzer{HotAlloc}) {
-		if strings.Contains(f.Message, "is loop-invariant") {
-			hoistable = append(hoistable, f.Message)
-		}
-	}
-	if len(hoistable) != 1 || !strings.HasSuffix(hoistable[0], "(x = x[:0] each iteration)") {
-		t.Fatalf("hoistable findings = %q, want one with the x = x[:0] hint", hoistable)
-	}
 }
 
 // TestRepoIsClean is the executable form of the CI gate: the full suite

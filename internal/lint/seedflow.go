@@ -6,8 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"econcast/internal/lint/flow"
 )
 
 // rngPkgPath is the sanctioned seed-derivation package. Inside it, raw
@@ -27,14 +25,11 @@ const rngPkgPath = "econcast/internal/rng"
 //
 // The pass is interprocedural over the package's static call graph
 // (reusing hotalloc's closure machinery): a sink fed by a same-package
-// call is checked through that callee's return expressions, and local
-// variables are chased path-sensitively through the reaching
-// definitions of internal/lint/flow — only writes that can actually
-// reach the sink are checked, so a collision-prone initialization that
-// every path overwrites with a sound derivation no longer trips the
-// analyzer. Variables the dataflow cannot track (address-taken,
-// assigned inside a closure, or local to a nested function literal)
-// fall back to the conservative scan over all assignments.
+// call is checked through that callee's return expressions, and a local
+// variable is chased through every assignment to it in the enclosing
+// function, whether or not that write reaches the sink. The scan is
+// conservative: a collision-prone initializer is flagged even when every
+// path overwrites it before the sink.
 var SeedFlow = &Analyzer{
 	Name: "seedflow",
 	Doc:  "seed derived with collision-prone arithmetic instead of rng.DeriveSeed",
@@ -45,7 +40,6 @@ var SeedFlow = &Analyzer{
 		sf := &seedflowPass{
 			p:        p,
 			decls:    funcDecls(p),
-			flows:    make(map[*ast.FuncDecl]*flow.Reach),
 			funcBad:  make(map[*types.Func]*ast.BinaryExpr),
 			visiting: make(map[*types.Func]bool),
 			reported: make(map[token.Pos]bool),
@@ -79,24 +73,9 @@ var SeedFlow = &Analyzer{
 type seedflowPass struct {
 	p        *Pass
 	decls    map[*types.Func]*ast.FuncDecl
-	flows    map[*ast.FuncDecl]*flow.Reach   // lazily built reaching definitions per function
 	funcBad  map[*types.Func]*ast.BinaryExpr // memoized: offending expr in a callee's returns
 	visiting map[*types.Func]bool            // recursion guard
 	reported map[token.Pos]bool              // one finding per arithmetic site
-}
-
-// reachFor builds (once) the CFG and reaching definitions for fd,
-// seeding entry definitions from its receiver, parameters, and named
-// results so an unwritten parameter resolves to an opaque entry value
-// rather than to "no definition".
-func (sf *seedflowPass) reachFor(fd *ast.FuncDecl) *flow.Reach {
-	if r, ok := sf.flows[fd]; ok {
-		return r
-	}
-	g := flow.Build(fd.Body)
-	r := flow.Reaching(g, sf.p.Info, fd.Recv, fd.Type.Params, fd.Type.Results)
-	sf.flows[fd] = r
-	return r
 }
 
 // isSeedParam matches parameters that carry seeds by convention.
@@ -267,33 +246,14 @@ func (sf *seedflowPass) unsound(e ast.Expr, fd *ast.FuncDecl, seen map[types.Obj
 		if fd == nil || fd.Body == nil {
 			return nil
 		}
-		r := sf.reachFor(fd)
-		defs, ok := r.DefsAt(v, e.Pos())
-		if !ok || len(defs) == 0 {
-			// Address-taken, assigned inside a closure, or local to a
-			// nested function literal (whose statements are not CFG
-			// nodes of fd): fall back to the conservative scan.
-			return sf.varUnsound(v, fd, seen)
-		}
-		for _, d := range defs {
-			if d.Rhs == nil {
-				// Entry value (parameter/receiver) or an opaque write
-				// (range variable, multi-value assignment): beyond
-				// arithmetic the analyzer could see.
-				continue
-			}
-			if b := sf.unsound(d.Rhs, fd, seen); b != nil {
-				return b
-			}
-		}
-		return nil
+		return sf.varUnsound(v, fd, seen)
 	}
 	return nil
 }
 
 // varUnsound chases a local variable through every assignment inside
-// fd, ignoring reachability. It is the fallback for variables the
-// dataflow cannot track.
+// fd, ignoring reachability. Writes it cannot see through (parameter
+// values, range variables, multi-value assignments) count as sound.
 func (sf *seedflowPass) varUnsound(v *types.Var, fd *ast.FuncDecl, seen map[types.Object]bool) *ast.BinaryExpr {
 	var bad *ast.BinaryExpr
 	assignTo := func(id *ast.Ident, rhs ast.Expr) {

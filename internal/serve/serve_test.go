@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -584,3 +586,62 @@ func TestClientBackoffDeterministic(t *testing.T) {
 }
 
 func bytesReader(s string) io.Reader { return strings.NewReader(s) }
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r    io.Reader
+	read int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.read += n
+	return n, err
+}
+
+// TestServerOversizedBodyIs400 sends a nodes list 16 times the body
+// limit: the server stops reading at maxRequestBytes and answers 400
+// instead of decoding it in full.
+func TestServerOversizedBodyIs400(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	const node = `{"budget":1e-05,"listen":0.0005,"transmit":0.0005},`
+	body := &countingReader{r: strings.NewReader(`{"objective":"groupput","nodes":[` + strings.Repeat(node, 16*maxRequestBytes/len(node)))}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", body))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "request body too large") {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	if body.read > maxRequestBytes+1 {
+		t.Fatalf("server read %d bytes past the %d-byte limit", body.read, maxRequestBytes)
+	}
+	if st := srv.StatsSnapshot(); st.BadRequests != 1 || st.Requests != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestServerLargestFleetFits sends the largest fleet compile accepts,
+// every power figure at full float64 precision and the JSON indented:
+// the body limit must leave room for it.
+func TestServerLargestFleetFits(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	req := Request{Objective: ObjGroupput, Nodes: make([]NodeSpec, maxFleet)}
+	for i := range req.Nodes {
+		req.Nodes[i] = NodeSpec{Budget: 1.0000000000000002e-05, Listen: 5.000000000000001e-04, Transmit: 5.000000000000001e-04}
+	}
+	body, err := json.MarshalIndent(req, "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status %d: %s", resp.StatusCode, msg)
+	}
+	if st := srv.StatsSnapshot(); st.OK != 1 || st.BadRequests != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+}

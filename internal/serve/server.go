@@ -73,6 +73,13 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxRequestBytes bounds a /v1/solve body: a fixed allowance for the
+// scalar fields and the topology plus 256 bytes per node of the largest
+// fleet compile accepts, room for a full-precision, indented NodeSpec.
+// A longer body is refused with 400 once the limit is read, so it never
+// holds an admission slot while it is decoded in full.
+const maxRequestBytes = 4<<10 + 256*maxFleet
+
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 
@@ -93,7 +100,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
 		s.bads.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed request: " + err.Error()})
 		return
